@@ -9,13 +9,8 @@ from .diagram import (
     EdgeOrder,
     Node,
     WidthCapExceeded,
-    check_connected,
-    check_disconnected,
     construct,
-    delete_and_sample,
     exact_reliability,
-    extend,
-    merge,
     node_priority,
     order_edges,
 )
@@ -77,21 +72,16 @@ __all__ = [
     "assignment_probability",
     "brute_force_reliability",
     "build_structure_index",
-    "check_connected",
-    "check_disconnected",
     "construct",
     "decompose",
-    "delete_and_sample",
     "estimate_pipeline",
     "exact_pipeline",
     "exact_reliability",
-    "extend",
     "ht_estimate",
     "ht_variance",
     "load_graph",
     "mc_estimate",
     "mc_variance",
-    "merge",
     "node_priority",
     "order_edges",
     "parse_graph",

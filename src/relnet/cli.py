@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--w", type=int, default=10000, help="max nodes per layer")
     est.add_argument("--estimator", choices=("mc", "ht"), default="mc")
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--threads", type=int, default=1)
     est.add_argument("--precision", choices=("double", "exact"), default="double")
     est.add_argument("--no-bdd", action="store_true", help="plain sampling baseline")
     est.add_argument("--no-preprocess", action="store_true")
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--s", type=int, default=1000)
     ben.add_argument("--w", type=int, default=1000)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--threads", type=int, default=1)
     ben.add_argument("--width-cap", type=int, default=1_000_000)
     ben.add_argument("--no-exact", action="store_true",
                      help="skip exact references (error rates omitted)")
@@ -198,8 +196,6 @@ def cmd_estimate(args) -> int:
     g, terminals = _load_inputs(args)
     if args.s < 1 or args.w < 1:
         raise UsageError("--s and --w must be >= 1")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     trace_rows: Optional[list] = [] if args.trace else None
     if args.no_bdd:
         result = plain_sample_estimate(
@@ -214,7 +210,6 @@ def cmd_estimate(args) -> int:
             estimator=args.estimator,
             seed=args.seed,
             precision=args.precision,
-            threads=args.threads,
             use_preprocess=not args.no_preprocess,
             width_cap=args.width_cap,
             trace=trace_rows,
@@ -236,8 +231,8 @@ def cmd_estimate(args) -> int:
 
 
 def _config_dict(args) -> dict:
-    keys = ("graph", "terminals", "s", "w", "estimator", "seed", "threads",
-            "precision", "no_bdd", "no_preprocess", "k", "q1", "q2")
+    keys = ("graph", "terminals", "s", "w", "estimator", "seed", "precision",
+            "no_bdd", "no_preprocess", "k", "q1", "q2")
     out = {}
     for key in keys:
         if hasattr(args, key):
@@ -365,7 +360,6 @@ def cmd_bench(args) -> int:
                         w=args.w,
                         estimator=kind,
                         seed=run_seed,
-                        threads=args.threads,
                         width_cap=args.width_cap,
                     )
                 else:

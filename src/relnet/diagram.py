@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .estimators import (
@@ -157,9 +157,6 @@ class Node:
         self.t = t
         self.d = d
         self.order = order
-
-    def merge_key(self) -> tuple:
-        return (self.comp, tuple(x > 0 for x in self.t))
 
     def __repr__(self) -> str:  # diagnostic only
         return f"Node(p={self.p!r}, comp={self.comp}, t={self.t}, d={self.d})"
@@ -297,79 +294,9 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
     return off, _finish(src, newt, newd, nc, cv, cu)
 
 
-def _apply(node: Node, step: _LayerStep, existent: bool, k: int):
-    """Single-state transition; see :func:`_apply_both`."""
-    off, on = _apply_both(node, step, k)
-    return on if existent else off
-
-
-def extend(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    node: Node,
-    existent: bool,
-    terminals: TerminalSet,
-    *,
-    exact: bool = False,
-):
-    """Public transition: returns ONE_SINK, ZERO_SINK, or the child Node."""
-    step = _make_step(g, eo, layer, terminals)
-    res = _apply(node, step, existent, terminals.k)
-    pe = g.prob_values(exact)[step.edge_index]
-    child_p = node.p * pe if existent else node.p * (1 - pe)
-    if res is ONE_SINK or res is ZERO_SINK:
-        return res
-    comp, t, d, _ = res
-    return Node(child_p, comp, t, d)
-
-
-def check_connected(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    node: Node,
-    existent: bool,
-    terminals: TerminalSet,
-) -> bool:
-    """True iff every completion of the transitioned prefix is connected."""
-    step = _make_step(g, eo, layer, terminals)
-    return _apply(node, step, existent, terminals.k) is ONE_SINK
-
-
-def check_disconnected(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    node: Node,
-    existent: bool,
-    terminals: TerminalSet,
-) -> bool:
-    """True iff no completion of the transitioned prefix is connected."""
-    step = _make_step(g, eo, layer, terminals)
-    return _apply(node, step, existent, terminals.k) is ZERO_SINK
-
-
 # ---------------------------------------------------------------------------
-# Merging, priorities, deletion
+# Priorities and deletion
 # ---------------------------------------------------------------------------
-
-def merge(nodes: Iterable[Node]) -> list[Node]:
-    """Collapse nodes whose component pattern and terminal signs agree.
-
-    Such nodes transition to the same sinks under every continuation, so
-    their masses add without changing the bounds trajectory.
-    """
-    table: dict[tuple, Node] = {}
-    for nd in nodes:
-        key = nd.merge_key()
-        kept = table.get(key)
-        if kept is None:
-            table[key] = nd
-        else:
-            kept.p = kept.p + nd.p
-    return list(table.values())
-
 
 def node_priority(node: Node, k: int) -> float:
     """Deletion priority: mass times closeness to either sink.
@@ -393,24 +320,6 @@ def split_layer(nodes: list[Node], width: int, k: int) -> tuple[list[Node], list
         return nodes, []
     ranked = sorted(nodes, key=lambda nd: (-node_priority(nd, k), nd.order))
     return ranked[:width], ranked[width:]
-
-
-def allocate_draws(masses: Sequence[float], budget: int) -> list[int]:
-    """Largest-remainder proportional allocation of a draw budget."""
-    n = len(masses)
-    if n == 0 or budget <= 0:
-        return [0] * n
-    total = sum(masses)
-    if total <= 0:
-        return [0] * n
-    shares = [budget * m / total for m in masses]
-    alloc = [int(sh) for sh in shares]
-    leftover = budget - sum(alloc)
-    if leftover > 0:
-        rema = sorted(range(n), key=lambda i: (-(shares[i] - alloc[i]), i))
-        for i in rema[:leftover]:
-            alloc[i] += 1
-    return alloc
 
 
 # ---------------------------------------------------------------------------
@@ -476,93 +385,16 @@ def sample_group_stratum(
     draws: int,
     *,
     seed: int = 0,
-    threads: int = 1,
     want_outcomes: bool = False,
 ) -> StratumDraw:
-    """Sample a pooled node group as one stratum of the undecided region.
-
-    Draws split into per-thread batches, each on its own derived stream, so
-    the result does not depend on scheduling.
-    """
-    batches = allocate_draws([1.0] * max(1, threads), draws)
-    jobs = [
-        (b, rngmod.stream(seed, "layer", layer, "batch", bi))
-        for bi, b in enumerate(batches)
-        if b > 0
-    ]
-
-    def work(item):
-        b, rng = item
-        return _sample_group(g, eo, layer, terminals, nodes, b, rng, want_outcomes)
-
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(item) for item in jobs]
-
-    successes = sum(r[0] for r in results)
-    outcomes = None
-    if want_outcomes:
-        outcomes = []
-        for r in results:
-            outcomes.extend(r[1])
-    return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
-
-
-def delete_and_sample(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    terminals: TerminalSet,
-    nodes: list[Node],
-    width: int,
-    budget: int,
-    *,
-    seed: int = 0,
-    threads: int = 1,
-    want_outcomes: bool = False,
-) -> tuple[list[Node], Optional[StratumDraw], float]:
-    """Prune an oversized layer, sampling the evicted nodes as one stratum.
-
-    Returns (survivors, stratum or None, deleted mass).  The stratum is None
-    when nothing was deleted or the budget was zero; in the latter case the
-    deleted mass is reported so the caller can account for it.
-    """
-    survivors, deleted = split_layer(nodes, width, terminals.k)
-    if not deleted:
-        return survivors, None, 0.0
-    mass = 0.0
-    for nd in deleted:
-        mass += float(nd.p)
-    if budget <= 0:
-        return survivors, None, mass
-    stratum = sample_group_stratum(
-        g, eo, layer, terminals, deleted, mass, budget,
-        seed=seed, threads=threads, want_outcomes=want_outcomes,
-    )
-    return survivors, stratum, mass
-
-
-def _sample_group(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    terminals: TerminalSet,
-    nodes: Sequence[Node],
-    draws: int,
-    rng,
-    want_outcomes: bool,
-):
-    """Draw completions from a pooled group of same-layer nodes.
+    """Sample a pooled group of same-layer nodes as one stratum.
 
     Each draw first picks a node with probability proportional to its mass
     (the group is one stratum; per-node masses are usually far too small to
     budget individually), then completes the node's quotient graph.
     Quotients are built lazily, only for nodes actually hit.
     """
+    rng = rngmod.stream(seed, "layer", layer, "batch", 0)
     masses = [float(nd.p) for nd in nodes]
     cum: list[float] = []
     acc = 0.0
@@ -591,7 +423,7 @@ def _sample_group(
             key = (nodes[i].order, sum(1 << b for b, s in enumerate(a) if s == 1))
             q = (masses[i] / total) * float(assignment_probability(quotient, a))
             outcomes.append((key, q, ok))
-    return successes, outcomes
+    return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +436,7 @@ class BuildConfig:
     samples: int = 0
     estimator: str = "mc"
     seed: int = 0
-    merge_nodes: bool = True
     precision: str = "double"  # or "exact"
-    threads: int = 1
     width_cap: Optional[int] = 1_000_000
 
     def __post_init__(self) -> None:
@@ -641,6 +471,46 @@ class _MassAccumulator:
     @property
     def raw(self) -> Probability:
         return self._frac if self.exact else self._kahan.value
+
+
+def expand_layer(
+    nodes: list[Node],
+    step: _LayerStep,
+    pe: Probability,
+    k: int,
+    p_c: _MassAccumulator,
+    p_d: _MassAccumulator,
+) -> tuple[list[Node], float]:
+    """Decide one layer's edge for every node of the layer.
+
+    Children that reach a sink add their mass to ``p_c`` or ``p_d``.  The
+    rest merge by component pattern and terminal signs: such children
+    transition to the same sinks under every continuation, so their masses
+    add without changing the bounds trajectory.  Returns the next layer, in
+    creation order, and its total mass.
+    """
+    pe_off = 1 - pe
+    nxt: dict[tuple, Node] = {}
+    nxt_get = nxt.get
+    resident_mass = 0.0
+    for nd in nodes:
+        off, on = _apply_both(nd, step, k)
+        np_ = nd.p
+        for res, mass in ((off, np_ * pe_off), (on, np_ * pe)):
+            if res is ONE_SINK:
+                p_c.add(mass)
+            elif res is ZERO_SINK:
+                p_d.add(mass)
+            else:
+                comp, t, d, sign = res
+                key = (comp, sign)
+                kept = nxt_get(key)
+                if kept is None:
+                    nxt[key] = Node(mass, comp, t, d, len(nxt))
+                else:
+                    kept.p = kept.p + mass
+                resident_mass += mass
+    return list(nxt.values()), resident_mass
 
 
 def construct(
@@ -697,8 +567,7 @@ def construct(
         strata.append(
             sample_group_stratum(
                 g, eo, layer, terminals, nodes, mass, draws,
-                seed=config.seed, threads=config.threads,
-                want_outcomes=want_outcomes,
+                seed=config.seed, want_outcomes=want_outcomes,
             )
         )
         sample_time += time.perf_counter() - t0
@@ -706,32 +575,9 @@ def construct(
 
     for layer in range(m):
         step = _make_step(g, eo, layer, terminals)
-        pe = probs[step.edge_index]
-        pe_off = 1 - pe
-        nxt: dict[tuple, Node] = {}
-        creation = 0
-        nxt_get = nxt.get
-        merging = config.merge_nodes
-        resident_mass = 0.0
-        for nd in layer_nodes:
-            off, on = _apply_both(nd, step, k)
-            np_ = nd.p
-            for res, mass in ((off, np_ * pe_off), (on, np_ * pe)):
-                if res is ONE_SINK:
-                    p_c.add(mass)
-                elif res is ZERO_SINK:
-                    p_d.add(mass)
-                else:
-                    comp, t, d, sign = res
-                    key = (comp, sign) if merging else creation
-                    kept = nxt_get(key)
-                    if kept is None:
-                        nxt[key] = Node(mass, comp, t, d, creation)
-                        creation += 1
-                    else:
-                        kept.p = kept.p + mass
-                    resident_mass += mass
-        layer_nodes = list(nxt.values())
+        layer_nodes, resident_mass = expand_layer(
+            layer_nodes, step, probs[step.edge_index], k, p_c, p_d
+        )
         layers_done = layer + 1
         if config.width_cap is not None and len(layer_nodes) > config.width_cap:
             raise WidthCapExceeded(

@@ -111,7 +111,6 @@ def estimate_pipeline(
     estimator: str = "mc",
     seed: int = 0,
     precision: str = "double",
-    threads: int = 1,
     use_preprocess: bool = True,
     width_cap: Optional[int] = 1_000_000,
     trace: Optional[list] = None,
@@ -140,7 +139,6 @@ def estimate_pipeline(
             estimator=estimator,
             seed=rngmod.derive_seed(seed, "part", idx),
             precision=precision,
-            threads=threads,
             width_cap=width_cap,
         )
         rep = construct(pg, pt, cfg, trace=trace)

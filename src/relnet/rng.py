@@ -1,9 +1,8 @@
 """Deterministic random streams.
 
 Every sampling site derives its own ``random.Random`` stream from the root
-seed plus a structural path (layer index, stratum index, ...).  Streams are
-independent of iteration order and of how work is split across threads, so a
-fixed seed replays exactly.
+seed plus a structural path (part index, layer index, ...).  Streams do not
+depend on iteration order, so a fixed seed replays exactly.
 """
 
 from __future__ import annotations

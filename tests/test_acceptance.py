@@ -267,7 +267,7 @@ def test_criterion_8_determinism(tmp_path):
         out = tmp_path / f"run{i}.json"
         code = cli_main([
             "estimate", "--graph", str(gf), "--terminals", "0,5,11",
-            "--s", "2000", "--w", "4", "--seed", "42", "--threads", "1",
+            "--s", "2000", "--w", "4", "--seed", "42",
             "--output", str(out),
         ])
         assert code == 0

@@ -85,12 +85,6 @@ class TestEstimate:
         assert set(rows[0]) == {"layer", "width", "p_c", "p_d",
                                 "deleted_mass", "samples_drawn"}
 
-    def test_threads_flag_runs(self, grid_file, tmp_path):
-        out = tmp_path / "rep.json"
-        assert run(["estimate", "--graph", str(grid_file), "--terminals", "0,8",
-                    "--s", "300", "--w", "2", "--threads", "2",
-                    "--output", str(out)]) == 0
-
     def test_timings_flag_adds_section(self, path_graph_file, tmp_path):
         out = tmp_path / "rep.json"
         assert run(["estimate", "--graph", str(path_graph_file),

@@ -3,21 +3,20 @@ import json
 import pytest
 
 from relnet.diagram import (
-    delete_and_sample,
     ONE_SINK,
     ZERO_SINK,
     BuildConfig,
     Node,
     WidthCapExceeded,
-    allocate_draws,
-    check_connected,
-    check_disconnected,
+    _apply_both,
+    _make_step,
+    _MassAccumulator,
     construct,
     exact_reliability,
-    extend,
-    merge,
+    expand_layer,
     node_priority,
     order_edges,
+    sample_group_stratum,
     split_layer,
     stratum_quotient,
 )
@@ -64,67 +63,78 @@ class TestOrderEdges:
         assert eo.frontiers[2] == (1, 2)
 
 
+ROOT = Node(1.0, (), (), ())
+
+
+def _both(g, t, layer, node):
+    """(off, on) results of the real transition at one layer."""
+    return _apply_both(node, _make_step(g, order_edges(g, t), layer, t), t.k)
+
+
+def _child(res, p):
+    comp, tt, dd, _ = res
+    return Node(p, comp, tt, dd)
+
+
+def _expand(g, t, layer, nodes):
+    """One real construction step: (next layer, p_c, p_d)."""
+    p_c, p_d = _MassAccumulator(False), _MassAccumulator(False)
+    step = _make_step(g, order_edges(g, t), layer, t)
+    nxt, _ = expand_layer(nodes, step, g.probs[step.edge_index], t.k, p_c, p_d)
+    return nxt, p_c.value, p_d.value
+
+
 class TestTransitions:
     def test_joining_edge_hits_one_sink(self):
         g = parse_graph("0 1 0.7")
         t = TerminalSet.of([0, 1])
-        eo = order_edges(g, t)
-        root = Node(1.0, (), (), ())
-        assert extend(g, eo, 0, root, True, t) is ONE_SINK
-        assert check_connected(g, eo, 0, root, True, t)
+        _off, on = _both(g, t, 0, ROOT)
+        assert on is ONE_SINK
+        nxt, p_c, p_d = _expand(g, t, 0, [ROOT])
+        assert nxt == []
+        assert p_c == pytest.approx(0.7)
 
     def test_missing_sole_edge_hits_zero_sink(self):
         g = parse_graph("0 1 0.7")
         t = TerminalSet.of([0, 1])
-        eo = order_edges(g, t)
-        root = Node(1.0, (), (), ())
-        assert extend(g, eo, 0, root, False, t) is ZERO_SINK
-        assert check_disconnected(g, eo, 0, root, False, t)
+        off, _on = _both(g, t, 0, ROOT)
+        assert off is ZERO_SINK
+        _nxt, _p_c, p_d = _expand(g, t, 0, [ROOT])
+        assert p_d == pytest.approx(0.3)
 
     def test_component_out_of_undecided_edges_sinks(self):
         # path 0-1-2, terminals {0,2}: take e0, drop e1
         g = path_graph(2)
         t = TerminalSet.of([0, 2])
-        eo = order_edges(g, t)
-        root = Node(1.0, (), (), ())
-        child = extend(g, eo, 0, root, True, t)
-        assert isinstance(child, Node)
-        assert child.p == pytest.approx(0.5)
-        assert extend(g, eo, 1, child, False, t) is ZERO_SINK
+        nxt, _p_c, p_d = _expand(g, t, 0, [ROOT])
+        assert len(nxt) == 1
+        assert nxt[0].p == pytest.approx(0.5)
+        assert p_d == pytest.approx(0.5)  # dropping e0 strands terminal 0
+        off, _on = _both(g, t, 1, nxt[0])
+        assert off is ZERO_SINK
 
     def test_child_attributes_on_triangle(self):
         g = parse_graph("0 1 0.5\n0 2 0.5\n1 2 0.5")
         t = TerminalSet.of([0, 1, 2])
-        eo = order_edges(g, t)
-        root = Node(1.0, (), (), ())
-        both_in = extend(g, eo, 0, root, True, t)
-        assert both_in.comp == (0, 0)
-        assert both_in.t == (2,)
-        split = extend(g, eo, 0, root, False, t)
-        assert split.comp == (0, 1)
-        assert split.t == (1, 1)
+        split, both_in = _both(g, t, 0, ROOT)
+        assert both_in[:2] == ((0, 0), (2,))
+        assert split[:2] == ((0, 1), (1, 1))
 
     def test_not_connected_when_no_terminals_gathered(self):
         g = path_graph(3)
         t = TerminalSet.of([0, 3])
-        eo = order_edges(g, t)
-        root = Node(1.0, (), (), ())
-        assert not check_connected(g, eo, 0, root, True, t)
+        _off, on = _both(g, t, 0, ROOT)
+        assert on is not ONE_SINK
 
     def test_nodes_carry_attributes_for_their_layer_frontier(self):
         for seed in (0, 4, 6):
             g, t = small_case(seed, max_edges=9)
             eo = order_edges(g, t)
-            stack = [(0, Node(1.0, (), (), ()))]
-            while stack:
-                layer, node = stack.pop()
-                assert len(node.comp) == len(eo.frontiers[layer])
-                if layer == g.m:
-                    continue
-                for existent in (False, True):
-                    res = extend(g, eo, layer, node, existent, t)
-                    if isinstance(res, Node):
-                        stack.append((layer + 1, res))
+            nodes = [ROOT]
+            for layer in range(g.m):
+                assert all(len(nd.comp) == len(eo.frontiers[layer]) for nd in nodes)
+                nodes, _, _ = _expand(g, t, layer, nodes)
+            assert nodes == []
 
     def test_sink_verdicts_sound_against_enumeration(self):
         # every sink produced anywhere in the prefix tree must agree with a
@@ -132,20 +142,19 @@ class TestTransitions:
         for seed in (0, 1, 2, 5):
             g, t = small_case(seed, max_edges=8)
             eo = order_edges(g, t)
-            root = Node(1.0, (), (), ())
-            stack = [(0, root, [])]
+            stack = [(0, ROOT, [])]
             while stack:
                 layer, node, prefix = stack.pop()
-                for existent in (False, True):
+                results = _both(g, t, layer, node)
+                for existent, res in zip((False, True), results):
                     states = prefix + [existent]
-                    res = extend(g, eo, layer, node, existent, t)
                     all_conn, none_conn = _completion_profile(g, eo, t, states)
                     if res is ONE_SINK:
                         assert all_conn
                     elif res is ZERO_SINK:
                         assert none_conn
                     else:
-                        stack.append((layer + 1, res, states))
+                        stack.append((layer + 1, _child(res, 1.0), states))
 
 
 def _completion_profile(g, eo, t, decided):
@@ -172,30 +181,56 @@ def _completion_profile(g, eo, t, decided):
 
 
 class TestMerge:
+    # layer 2 of a 2x3 grid decides edge 1-2 over the frontier (1, 3); both
+    # stay on the next frontier (1, 2, 3) and vertex 2 enters with no terminal
+    GRID = "0 1 0.5\n1 2 0.5\n0 3 0.5\n1 4 0.5\n2 5 0.5\n3 4 0.5\n4 5 0.5"
+    TERMS = (0, 4, 5)
+
+    def _layer(self, *nodes):
+        return _expand(parse_graph(self.GRID), TerminalSet.of(self.TERMS), 2, list(nodes))
+
     def test_equal_sign_patterns_merge(self):
         a = Node(0.25, (0, 1), (2, 0), (3, 1), order=0)
         b = Node(0.5, (0, 1), (1, 0), (2, 1), order=1)
-        merged = merge([a, b])
-        assert len(merged) == 1
-        assert merged[0].p == pytest.approx(0.75)
+        nxt, p_c, p_d = self._layer(a, b)
+        assert p_c == p_d == 0.0
+        assert [nd.comp for nd in nxt] == [(0, 1, 2), (0, 0, 1)]
+        assert [nd.p for nd in nxt] == pytest.approx([0.375, 0.375])
+        assert [nd.t for nd in nxt] == [(2, 0, 0), (2, 0)]  # first child's t kept
 
     def test_different_sign_patterns_stay_apart(self):
         a = Node(0.25, (0, 1), (1, 0), (3, 1), order=0)
         b = Node(0.5, (0, 1), (0, 1), (2, 1), order=1)
-        assert len(merge([a, b])) == 2
+        nxt, _, _ = self._layer(a, b)
+        assert len(nxt) == 4
 
     def test_different_component_patterns_stay_apart(self):
         a = Node(0.25, (0, 0), (1,), (3,), order=0)
         b = Node(0.5, (0, 1), (1, 1), (2, 2), order=1)
-        assert len(merge([a, b])) == 2
+        nxt, _, _ = self._layer(a, b)
+        assert len(nxt) == 4
 
-    def test_merged_and_unmerged_bounds_agree(self):
+    def test_layer_is_transitions_grouped_by_pattern(self):
+        # expand_layer keeps exactly one node per (comp, sign) pattern of the
+        # transitions' children, carrying their summed mass
         for seed in range(15):
             g, t = small_case(seed, max_edges=10)
-            a = construct(g, t, BuildConfig(width=None, samples=0))
-            b = construct(g, t, BuildConfig(width=None, samples=0, merge_nodes=False))
-            assert a.bounds.p_c == pytest.approx(b.bounds.p_c, abs=1e-12)
-            assert a.bounds.p_d == pytest.approx(b.bounds.p_d, abs=1e-12)
+            eo = order_edges(g, t)
+            nodes = [ROOT]
+            for layer in range(g.m):
+                expected: dict = {}
+                for nd in nodes:
+                    pe = g.probs[eo.order[layer]]
+                    for res, mass in zip(_both(g, t, layer, nd),
+                                         (nd.p * (1 - pe), nd.p * pe)):
+                        if res is not ONE_SINK and res is not ZERO_SINK:
+                            key = (res[0], res[3])
+                            expected[key] = expected.get(key, 0.0) + mass
+                nodes, _, _ = _expand(g, t, layer, nodes)
+                got = {(nd.comp, tuple(x > 0 for x in nd.t)): nd.p for nd in nodes}
+                assert got.keys() == expected.keys()
+                for key, mass in expected.items():
+                    assert got[key] == pytest.approx(mass, abs=1e-15)
 
 
 class TestPriority:
@@ -225,71 +260,41 @@ class TestPriority:
         assert survivors == nodes and deleted == []
 
 
-class TestAllocateDraws:
-    def test_proportional_with_remainders(self):
-        assert allocate_draws([0.5, 0.25, 0.25], 4) == [2, 1, 1]
-
-    def test_total_preserved(self):
-        alloc = allocate_draws([0.61, 0.2, 0.1, 0.09], 7)
-        assert sum(alloc) == 7
-
-    def test_zero_budget(self):
-        assert allocate_draws([0.3, 0.7], 0) == [0, 0]
-
-
 class TestDeleteAndSample:
     def _layer(self, seed):
-        from relnet.diagram import _apply_both, _make_step
-
         g, t = small_case(seed, max_edges=10)
         eo = order_edges(g, t)
-        nodes = [Node(1.0, (), (), (), 0)]
+        nodes = [ROOT]
         layer = 0
         while len(nodes) < 4 and layer < g.m - 1:
-            step = _make_step(g, eo, layer, t)
-            pe = g.probs[step.edge_index]
-            nxt = []
-            for nd in nodes:
-                off, on = _apply_both(nd, step, t.k)
-                for res, mass in ((off, nd.p * (1 - pe)), (on, nd.p * pe)):
-                    if res not in (ONE_SINK, ZERO_SINK):
-                        comp, tt, dd, _ = res
-                        nxt.append(Node(mass, comp, tt, dd, len(nxt)))
-            nodes = nxt
+            nodes, _, _ = _expand(g, t, layer, nodes)
             layer += 1
         return g, eo, t, nodes, layer
 
     def test_under_width_is_noop(self):
-        g, eo, t, nodes, layer = self._layer(6)
-        survivors, stratum, mass = delete_and_sample(
-            g, eo, layer, t, nodes, len(nodes), 50, seed=0
-        )
+        _g, _eo, t, nodes, _layer = self._layer(6)
+        survivors, deleted = split_layer(nodes, len(nodes), t.k)
         assert survivors == nodes
-        assert stratum is None and mass == 0.0
+        assert deleted == []
 
     def test_deleted_nodes_become_a_stratum(self):
         g, eo, t, nodes, layer = self._layer(6)
-        if len(nodes) < 2:
-            pytest.skip("layer too small for this seed")
-        survivors, stratum, mass = delete_and_sample(
-            g, eo, layer, t, nodes, 1, 30, seed=0
-        )
+        assert len(nodes) >= 2
+        survivors, deleted = split_layer(nodes, 1, t.k)
+        mass = sum(float(nd.p) for nd in deleted)
+        stratum = sample_group_stratum(g, eo, layer, t, deleted, mass, 30, seed=0)
         assert len(survivors) == 1
-        assert stratum is not None
         assert stratum.draws == 30
-        assert stratum.mass == pytest.approx(mass)
+        assert 0 <= stratum.successes <= 30
+        assert stratum.mass == mass
         assert mass == pytest.approx(sum(float(n.p) for n in nodes)
                                      - float(survivors[0].p))
 
     def test_zero_budget_reports_mass_only(self):
-        g, eo, t, nodes, layer = self._layer(6)
-        if len(nodes) < 2:
-            pytest.skip("layer too small for this seed")
-        survivors, stratum, mass = delete_and_sample(
-            g, eo, layer, t, nodes, 1, 0, seed=0
-        )
-        assert stratum is None
-        assert mass > 0.0
+        g, t = small_case(6, max_edges=10)
+        rep = construct(g, t, BuildConfig(width=1, samples=0))
+        assert rep.unsampled_mass > 0.0
+        assert rep.samples_used == 0
 
 
 class TestStratumQuotient:
@@ -297,15 +302,15 @@ class TestStratumQuotient:
         for seed in (1, 3, 4, 8, 11):
             g, t = small_case(seed, max_edges=9)
             eo = order_edges(g, t)
-            root = Node(1.0, (), (), ())
             # walk a fixed prefix, skipping states that sink
-            node, layer, decided = root, 0, []
+            node, layer, decided = ROOT, 0, []
             while layer < g.m - 2:
                 advanced = False
+                results = _both(g, t, layer, node)
                 for existent in (bool(seed % 2), not bool(seed % 2)):
-                    res = extend(g, eo, layer, node, existent, t)
-                    if isinstance(res, Node):
-                        node, layer = res, layer + 1
+                    res = results[existent]
+                    if res is not ONE_SINK and res is not ZERO_SINK:
+                        node, layer = _child(res, 1.0), layer + 1
                         decided.append(existent)
                         advanced = True
                         break
