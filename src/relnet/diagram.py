@@ -385,6 +385,7 @@ def sample_group_stratum(
     draws: int,
     *,
     seed: int = 0,
+    kind: str = "deleted",
     want_outcomes: bool = False,
 ) -> StratumDraw:
     """Sample a pooled group of same-layer nodes as one stratum.
@@ -393,8 +394,11 @@ def sample_group_stratum(
     (the group is one stratum; per-node masses are usually far too small to
     budget individually), then completes the node's quotient graph.
     Quotients are built lazily, only for nodes actually hit.
+
+    The stratum draws from its own stream, named by its layer and ``kind``:
+    a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
     """
-    rng = rngmod.stream(seed, "layer", layer, "batch", 0)
+    rng = rngmod.stream(seed, "layer", layer, kind)
     masses = [float(nd.p) for nd in nodes]
     cum: list[float] = []
     acc = 0.0
@@ -556,7 +560,9 @@ def construct(
             pd = max(0.0, 1.0 - pc)
         return Bounds(pc, pd)
 
-    def run_group(nodes: list[Node], mass: float, draws: int, layer: int) -> int:
+    def run_group(
+        nodes: list[Node], mass: float, draws: int, layer: int, kind: str
+    ) -> int:
         """Sample a pooled node group as one stratum; returns draws taken."""
         nonlocal sample_time
         if draws <= 0 or not nodes:
@@ -567,7 +573,7 @@ def construct(
         strata.append(
             sample_group_stratum(
                 g, eo, layer, terminals, nodes, mass, draws,
-                seed=config.seed, want_outcomes=want_outcomes,
+                seed=config.seed, kind=kind, want_outcomes=want_outcomes,
             )
         )
         sample_time += time.perf_counter() - t0
@@ -606,7 +612,9 @@ def construct(
             deleted_mass_layer = actual.value
             # the layer's share of the reduced budget, never past the request
             budget = max(0, min(int(s_prime * p_hat), s - drawn))
-            samples_layer = run_group(deleted, deleted_mass_layer, budget, layer + 1)
+            samples_layer = run_group(
+                deleted, deleted_mass_layer, budget, layer + 1, "deleted"
+            )
             drawn += samples_layer
             prior_deleted.add(actual.raw)
             layer_nodes = survivors
@@ -632,7 +640,9 @@ def construct(
         # as finishing by sampling the resident nodes meets the budget.
         if drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime:
             budget = max(0, min(int(s_prime * resident_mass), s - drawn))
-            batch = run_group(layer_nodes, resident_mass, budget, layer + 1)
+            batch = run_group(
+                layer_nodes, resident_mass, budget, layer + 1, "resident"
+            )
             drawn += batch
             if trace is not None:
                 trace.append(

@@ -1,8 +1,10 @@
 """Deterministic random streams.
 
-Every sampling site derives its own ``random.Random`` stream from the root
-seed plus a structural path (part index, layer index, ...).  Streams do not
-depend on iteration order, so a fixed seed replays exactly.
+Every sampling site derives its own ``random.Random`` stream from a root seed
+plus a structural path that names the site, such as ``("layer", l,
+"deleted")`` for the nodes deleted at layer l.  No two strata of a run share
+a path, so their draws are independent; streams do not depend on iteration
+order, so a fixed seed replays exactly.
 """
 
 from __future__ import annotations

@@ -420,6 +420,27 @@ class TestConstruct:
         assert res.exact
         assert res.samples_used == 0
 
+    def test_every_stratum_draws_from_its_own_stream(self, monkeypatch):
+        import relnet.diagram
+
+        paths = []
+        real = relnet.diagram.rngmod.stream
+
+        def recording(root, *path):
+            paths.append((root, path))
+            return real(root, *path)
+
+        monkeypatch.setattr(relnet.diagram.rngmod, "stream", recording)
+        sampled = 0
+        for seed in range(60):
+            g, t = small_case(seed)
+            for w in (1, 2, 4, 16):
+                paths.clear()
+                construct(g, t, BuildConfig(width=w, samples=2000, seed=seed))
+                assert len(set(paths)) == len(paths), (seed, w, paths)
+                sampled += len(paths)
+        assert sampled > 0
+
     def test_statistical_agreement_with_oracle(self):
         import statistics
 
