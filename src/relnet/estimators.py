@@ -170,6 +170,17 @@ def reduced_sample_count(s: int, bounds: Bounds) -> int:
 # Estimators
 # ---------------------------------------------------------------------------
 
+def inclusion_probability(q: float, d: int) -> float:
+    """Chance 1 - (1-q)^d that an outcome of probability q shows up in d draws.
+
+    Computed as -expm1(d * log1p(-q)), which stays positive when q is too
+    small for 1 - q to differ from 1 in double precision.
+    """
+    if q >= 1.0:
+        return 1.0
+    return -math.expm1(d * math.log1p(-q))
+
+
 def mc_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
     """Stratified Monte Carlo combination: p_c + sum(mass_i * mean_i).
 
@@ -208,8 +219,7 @@ def ht_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
         part = 0.0
         for q, connected in seen.values():
             if connected:
-                pi = 1.0 - (1.0 - q) ** st.draws
-                part += q / pi
+                part += q / inclusion_probability(q, st.draws)
         est += st.mass * part
     return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
 

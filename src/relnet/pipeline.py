@@ -20,6 +20,7 @@ from .estimators import (
     Bounds,
     EstimateReport,
     ht_variance,
+    inclusion_probability,
     mc_variance,
     reduced_sample_count,
 )
@@ -277,8 +278,7 @@ def plain_sample_estimate(
         est = 0.0
         for pr, ok in seen.values():
             if ok:
-                pi = 1.0 - (1.0 - pr) ** s
-                est += pr / pi
+                est += pr / inclusion_probability(pr, s)
         est = min(1.0, est)
         variance = ht_variance(est, records, s)
     else:

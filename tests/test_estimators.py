@@ -180,6 +180,13 @@ class TestHtEstimate:
         ]
         assert ht_estimate(strata, Bounds(0.2, 0.1)) == pytest.approx(0.2)
 
+    def test_outcome_below_double_resolution(self):
+        # 1 - 1e-20 rounds to 1.0, so the naive (1-q)^d inclusion
+        # probability is 0; the outcome still counts q / (d*q) = 1/d
+        strata = [StratumDraw(mass=1.0, draws=10, successes=1,
+                              outcomes=[("a", 1e-20, True)])]
+        assert ht_estimate(strata, Bounds()) == pytest.approx(0.1)
+
     def test_zero_probability_rejected(self):
         strata = [StratumDraw(mass=1.0, draws=1, successes=1,
                               outcomes=[("a", 0.0, True)])]

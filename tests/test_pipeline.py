@@ -10,6 +10,7 @@ from relnet.pipeline import (
     split_budget,
 )
 from relnet.generate import random_connected_graph, random_terminals
+from relnet.graph import TerminalSet, parse_graph
 from conftest import small_case
 
 
@@ -99,6 +100,14 @@ class TestPlainSampling:
         mean = statistics.fmean(ests)
         se = statistics.stdev(ests) / len(ests) ** 0.5
         assert abs(mean - ref) <= 3 * se + 1e-9
+
+    def test_ht_with_realizations_below_double_resolution(self):
+        # every realization of 60 parallel edges has mass 2^-60, so 1 - pr
+        # rounds to 1.0; nearly every draw is a distinct connected outcome
+        g = parse_graph("\n".join(["0 1 0.5"] * 60))
+        res = plain_sample_estimate(g, TerminalSet.of([0, 1]), s=100,
+                                    estimator="ht", seed=0)
+        assert res.estimate == pytest.approx(1.0, abs=1e-9)
 
     def test_ht_estimator_runs_and_brackets(self):
         g, t = small_case(6, max_edges=12)
