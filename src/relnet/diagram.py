@@ -385,7 +385,7 @@ def sample_group_stratum(
     draws: int,
     *,
     seed: int = 0,
-    kind: str = "deleted",
+    kind: str,
     want_outcomes: bool = False,
 ) -> StratumDraw:
     """Sample a pooled group of same-layer nodes as one stratum.

@@ -282,7 +282,9 @@ class TestDeleteAndSample:
         assert len(nodes) >= 2
         survivors, deleted = split_layer(nodes, 1, t.k)
         mass = sum(float(nd.p) for nd in deleted)
-        stratum = sample_group_stratum(g, eo, layer, t, deleted, mass, 30, seed=0)
+        stratum = sample_group_stratum(
+            g, eo, layer, t, deleted, mass, 30, seed=0, kind="deleted"
+        )
         assert len(survivors) == 1
         assert stratum.draws == 30
         assert 0 <= stratum.successes <= 30
