@@ -71,9 +71,10 @@ def _both(g, t, layer, node):
     return _apply_both(node, _make_step(g, order_edges(g, t), layer, t), t.k)
 
 
-def _child(res, p):
+def _child(res):
+    """A node for a non-sink transition result (its mass is not tracked)."""
     comp, tt, dd, _ = res
-    return Node(p, comp, tt, dd)
+    return Node(1.0, comp, tt, dd)
 
 
 def _expand(g, t, layer, nodes):
@@ -154,7 +155,7 @@ class TestTransitions:
                     elif res is ZERO_SINK:
                         assert none_conn
                     else:
-                        stack.append((layer + 1, _child(res, 1.0), states))
+                        stack.append((layer + 1, _child(res), states))
 
 
 def _completion_profile(g, eo, t, decided):
@@ -312,7 +313,7 @@ class TestStratumQuotient:
                 for existent in (bool(seed % 2), not bool(seed % 2)):
                     res = results[existent]
                     if res is not ONE_SINK and res is not ZERO_SINK:
-                        node, layer = _child(res, 1.0), layer + 1
+                        node, layer = _child(res), layer + 1
                         decided.append(existent)
                         advanced = True
                         break
