@@ -28,7 +28,6 @@ from .estimators import (
 )
 from .exact import ExactResult, brute_force_reliability
 from .graph import (
-    EdgeState,
     GraphFormatError,
     GraphInvariantError,
     TerminalSet,
@@ -57,7 +56,6 @@ __all__ = [
     "BuildConfig",
     "Decomposition",
     "EdgeOrder",
-    "EdgeState",
     "EstimateReport",
     "ExactResult",
     "GraphFormatError",

@@ -30,15 +30,13 @@ from .estimators import (
     SampleBudget,
     StratumDraw,
     combine_strata,
-    ht_variance,
     reduced_sample_count,
-    stratified_mc_variance,
+    strata_variance,
 )
 from .graph import (
     GraphInvariantError,
     TerminalSet,
     UncertainGraph,
-    all_uncertain,
     assignment_probability,
     sample_possible_graph,
     terminals_connected,
@@ -65,9 +63,7 @@ class EdgeOrder:
     """
 
     order: tuple[int, ...]
-    positions: tuple[int, ...]
     first: tuple[int, ...]
-    last: tuple[int, ...]
     frontiers: tuple[tuple[int, ...], ...]
     incident_positions: tuple[tuple[int, ...], ...]
 
@@ -121,9 +117,7 @@ def order_edges(
         )
     return EdgeOrder(
         order=tuple(order),
-        positions=tuple(positions),
         first=tuple(first),
-        last=tuple(last),
         frontiers=tuple(frontiers),
         incident_positions=tuple(tuple(p) for p in inc_pos),
     )
@@ -406,7 +400,7 @@ def sample_group_stratum(
         acc += x
         cum.append(acc)
     total = acc
-    cache: dict[int, tuple[UncertainGraph, TerminalSet, list]] = {}
+    cache: dict[int, tuple[UncertainGraph, TerminalSet]] = {}
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
     for _ in range(draws):
@@ -415,18 +409,15 @@ def sample_group_stratum(
             i = len(nodes) - 1
         entry = cache.get(i)
         if entry is None:
-            quotient, qterms = stratum_quotient(g, eo, layer, nodes[i], terminals)
-            entry = (quotient, qterms, all_uncertain(quotient.m))
-            cache[i] = entry
-        quotient, qterms, base = entry
-        a = sample_possible_graph(quotient, base, rng)
-        ok = terminals_connected(quotient, a, qterms)
+            entry = cache[i] = stratum_quotient(g, eo, layer, nodes[i], terminals)
+        quotient, qterms = entry
+        mask = sample_possible_graph(quotient, rng)
+        ok = terminals_connected(quotient, mask, qterms)
         if ok:
             successes += 1
         if want_outcomes:
-            key = (nodes[i].order, sum(1 << b for b, s in enumerate(a) if s == 1))
-            q = (masses[i] / total) * float(assignment_probability(quotient, a))
-            outcomes.append((key, q, ok))
+            q = (masses[i] / total) * assignment_probability(quotient, mask)
+            outcomes.append(((nodes[i].order, mask), q, ok))
     return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
 
 
@@ -675,20 +666,7 @@ def construct(
         variance = 0.0
     else:
         estimate = combine_strata(config.estimator, strata, bounds, residual)
-        if drawn >= 1:
-            if config.estimator == "ht":
-                records = []
-                for st in strata:
-                    if st.outcomes:
-                        for _, q, okc in st.outcomes:
-                            records.append((st.mass * q, okc))
-                # the simplified correction can overshoot; a variance
-                # estimate reported to users stays nonnegative
-                variance = max(0.0, ht_variance(estimate, records, drawn, bounds))
-            else:
-                variance = stratified_mc_variance(estimate, bounds, drawn)
-        else:
-            variance = 0.0
+        variance = strata_variance(config.estimator, strata, bounds, estimate, drawn)
         variance += (0.5 * residual) ** 2  # midpoint fallback allowance
 
     report = EstimateReport(

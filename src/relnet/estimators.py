@@ -230,7 +230,7 @@ def combine_strata(
     bounds: Bounds,
     unsampled_mass: float = 0.0,
 ) -> float:
-    """Final estimate assembly used by the diagram builder.
+    """Final estimate assembly used by the diagram builder and plain sampling.
 
     Undecided mass that received no draws contributes the midpoint of its
     possible range (half its mass), which reduces to the midpoint rule for a
@@ -245,6 +245,32 @@ def combine_strata(
         raise EstimatorError(f"unknown estimator kind {kind!r}")
     est += 0.5 * unsampled_mass
     return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
+
+
+def strata_variance(
+    kind: str,
+    strata: Sequence[StratumDraw],
+    bounds: Bounds,
+    estimate: float,
+    draws: int,
+) -> float:
+    """Variance estimate for a :func:`combine_strata` result over ``draws`` draws.
+
+    Monte Carlo uses the stratified form; Horvitz-Thompson scales each
+    outcome's conditional probability by its stratum mass.
+    """
+    if draws < 1:
+        return 0.0
+    if kind == "mc":
+        return stratified_mc_variance(estimate, bounds, draws)
+    records = [
+        (st.mass * q, connected)
+        for st in strata if st.outcomes
+        for _, q, connected in st.outcomes
+    ]
+    # the simplified correction can overshoot; a variance estimate reported
+    # to users stays nonnegative
+    return max(0.0, ht_variance(estimate, records, draws, bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -128,43 +128,3 @@ def brute_force_reliability(
     if exact:
         return ExactResult(reliability=total_exact, enumerated_count=count)
     return ExactResult(reliability=min(1.0, total.value), enumerated_count=count)
-
-
-def brute_force_unreliability(
-    g: UncertainGraph, terminals: TerminalSet, *, cap: int = DEFAULT_EDGE_CAP
-) -> float:
-    """Mass of the disconnected realizations, summed by direct enumeration.
-
-    Complement of :func:`brute_force_reliability`, computed independently
-    (plain binary order, fresh products, BFS connectivity) so the two can be
-    cross-checked against each other.
-    """
-    terminals.validate(g)
-    m = g.m
-    if m > cap:
-        raise EdgeCapExceeded(f"{m} edges exceeds enumeration cap {cap}")
-    probs = g.probs
-    terms = terminals.sorted()
-    total = KahanSum()
-    for mask in range(1 << m):
-        prob = 1.0
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for j in range(m):
-            if mask >> j & 1:
-                prob *= probs[j]
-                u, v = g.edges[j]
-                adj[u].append(v)
-                adj[v].append(u)
-            else:
-                prob *= 1.0 - probs[j]
-        seen = {terms[0]}
-        queue = [terms[0]]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if any(t not in seen for t in terms):
-            total.add(prob)
-    return total.value

@@ -1,10 +1,10 @@
-"""Uncertain-graph model: vertices, probabilistic edges, realizations.
+"""Uncertain-graph model: vertices, probabilistic edges, possible graphs.
 
 An uncertain graph is undirected; every edge carries an independent existence
-probability in (0, 1].  A *realization* assigns each edge one of three states
-(existent, non-existent, uncertain); a fully decided assignment is a possible
-graph.  Edge indices follow input order and everything downstream (diagram
-layers, trace output) keys off that order.
+probability in (0, 1].  A *possible graph* decides every edge and is stored as
+an ``int`` edge mask: bit i is set iff edge i exists.  Edge indices follow
+input order and everything downstream (diagram layers, trace output, edge
+masks) keys off that order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from enum import IntEnum
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -26,15 +25,6 @@ class GraphFormatError(ValueError):
 
 class GraphInvariantError(ValueError):
     """Structurally invalid graph for the requested operation."""
-
-
-class EdgeState(IntEnum):
-    NON_EXISTENT = 0
-    EXISTENT = 1
-    UNCERTAIN = 2
-
-
-Assignment = Sequence[EdgeState]
 
 
 @dataclass(frozen=True)
@@ -79,9 +69,6 @@ class UncertainGraph:
 
     def incident(self, v: int) -> tuple[int, ...]:
         return self._incident[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._incident[v])
 
     def prob_values(self, exact: bool = False) -> Sequence[Probability]:
         if not exact:
@@ -135,77 +122,47 @@ def _find(parent: list[int], x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Assignments
+# Possible graphs
 # ---------------------------------------------------------------------------
 
-def all_uncertain(m: int) -> list[EdgeState]:
-    return [EdgeState.UNCERTAIN] * m
+def assignment_probability(g: UncertainGraph, mask: int) -> float:
+    """Probability of the possible graph ``mask``.
 
-
-def is_possible_graph(assignment: Assignment) -> bool:
-    return all(s != EdgeState.UNCERTAIN for s in assignment)
-
-
-def assignment_probability(
-    g: UncertainGraph, assignment: Assignment, *, exact: bool = False
-) -> Probability:
-    """Probability mass of a (possibly partial) realization.
-
-    Existent edges contribute p(e), non-existent ones 1 - p(e); uncertain
-    edges contribute factor 1, so a partial assignment's mass equals the sum
-    over all of its completions.
+    Existent edges contribute p(e), absent ones 1 - p(e), multiplied in
+    edge-index order.
     """
-    if len(assignment) != g.m:
-        raise GraphInvariantError("assignment does not cover every edge")
-    probs = g.prob_values(exact)
-    if exact:
-        acc = Fraction(1)
-        for s, p in zip(assignment, probs):
-            if s == EdgeState.EXISTENT:
-                acc *= p
-            elif s == EdgeState.NON_EXISTENT:
-                acc *= 1 - p
-        return acc
-    acc_f = 1.0
-    for s, p in zip(assignment, probs):
-        if s == EdgeState.EXISTENT:
-            acc_f *= p
-        elif s == EdgeState.NON_EXISTENT:
-            acc_f *= 1.0 - p
-    return acc_f
+    acc = 1.0
+    for i, p in enumerate(g.probs):
+        acc *= p if mask >> i & 1 else 1.0 - p
+    return acc
 
 
-def sample_possible_graph(
-    g: UncertainGraph, base: Assignment, rng: Random
-) -> list[EdgeState]:
-    """Complete a partial realization by flipping each uncertain edge.
+def sample_possible_graph(g: UncertainGraph, rng: Random) -> int:
+    """Draw a possible graph: one ``rng.random()`` per edge, in index order.
 
-    Decided entries of ``base`` are preserved.  Draws are independent across
-    calls (with-replacement semantics).
+    Draws are independent across calls (with-replacement semantics).
     """
-    out = list(base)
-    probs = g.probs
     rnd = rng.random
-    for i, s in enumerate(out):
-        if s == EdgeState.UNCERTAIN:
-            out[i] = EdgeState.EXISTENT if rnd() < probs[i] else EdgeState.NON_EXISTENT
-    return out
+    mask = 0
+    bit = 1
+    for p in g.probs:
+        if rnd() < p:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
-def terminals_connected(
-    g: UncertainGraph, assignment: Assignment, terminals: TerminalSet
-) -> bool:
-    """True iff all terminals share a component of the existent-edge subgraph."""
-    if not is_possible_graph(assignment):
-        raise GraphInvariantError("assignment still has uncertain edges")
+def terminals_connected(g: UncertainGraph, mask: int, terminals: TerminalSet) -> bool:
+    """True iff all terminals share a component of the edges set in ``mask``."""
     parent = list(range(g.n))
     edges = g.edges
-    for i, s in enumerate(assignment):
-        if s == EdgeState.EXISTENT:
-            u, v = edges[i]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[rv] = ru
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = edges[low.bit_length() - 1]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[rv] = ru
     it = iter(terminals.vertices)
     root = _find(parent, next(it))
     return all(_find(parent, t) == root for t in it)

@@ -19,15 +19,14 @@ from .diagram import BuildConfig, construct, exact_reliability
 from .estimators import (
     Bounds,
     EstimateReport,
-    ht_variance,
-    inclusion_probability,
-    mc_variance,
+    StratumDraw,
+    combine_strata,
     reduced_sample_count,
+    strata_variance,
 )
 from .graph import (
     TerminalSet,
     UncertainGraph,
-    all_uncertain,
     assignment_probability,
     sample_possible_graph,
     terminals_connected,
@@ -249,44 +248,29 @@ def plain_sample_estimate(
 ) -> PipelineResult:
     """Independent draws over the whole realization space.
 
-    Monte Carlo reports the mean connectivity indicator over s draws; the
-    unequal-probability variant weighs each distinct sampled realization by
-    its probability over its inclusion probability.
+    The draws form one stratum of mass 1 with no bounds, combined and
+    assessed by the same estimator code as the diagram's strata.
     """
     terminals.validate(g)
     if s < 1:
         raise ValueError("sample count must be >= 1")
     t0 = time.perf_counter()
     rng = rngmod.stream(seed, "plain")
-    base = all_uncertain(g.m)
     successes = 0
-    records: list[tuple[float, bool]] = []
-    seen: dict[int, tuple[float, bool]] = {}
-    want_ht = estimator == "ht"
+    outcomes: Optional[list] = [] if estimator == "ht" else None
     for _ in range(s):
-        a = sample_possible_graph(g, base, rng)
-        ok = terminals_connected(g, a, terminals)
+        mask = sample_possible_graph(g, rng)
+        ok = terminals_connected(g, mask, terminals)
         if ok:
             successes += 1
-        if want_ht:
-            pr = float(assignment_probability(g, a))
-            key = sum(1 << i for i, st in enumerate(a) if st == 1)
-            records.append((pr, ok))
-            seen[key] = (pr, ok)
+        if outcomes is not None:
+            outcomes.append((mask, assignment_probability(g, mask), ok))
 
-    if want_ht:
-        est = 0.0
-        for pr, ok in seen.values():
-            if ok:
-                est += pr / inclusion_probability(pr, s)
-        est = min(1.0, est)
-        variance = ht_variance(est, records, s)
-    else:
-        est = successes / s
-        variance = mc_variance(est, s)
-
-    elapsed = time.perf_counter() - t0
     bounds = Bounds(0.0, 0.0)
+    strata = [StratumDraw(mass=1.0, draws=s, successes=successes, outcomes=outcomes)]
+    est = combine_strata(estimator, strata, bounds)
+    variance = strata_variance(estimator, strata, bounds, est, s)
+    elapsed = time.perf_counter() - t0
     return PipelineResult(
         estimate=est,
         bridge_factor=1.0,

@@ -21,7 +21,7 @@ from relnet.diagram import (
     stratum_quotient,
 )
 from relnet.exact import brute_force_reliability
-from relnet.graph import EdgeState, TerminalSet, parse_graph
+from relnet.graph import TerminalSet, assignment_probability, parse_graph, terminals_connected
 from relnet.generate import random_terminals, tree_rich_graph
 from conftest import naive_reliability, small_case
 
@@ -158,21 +158,25 @@ class TestTransitions:
                         stack.append((layer + 1, _child(res), states))
 
 
+def _completion_mask(eo, decided, rest_mask):
+    """Edge mask of the possible graph that takes the decided prefix (by
+    layer) and then bit i of ``rest_mask`` for the i-th undecided layer."""
+    mask = 0
+    for pos, on in enumerate(decided):
+        if on:
+            mask |= 1 << eo.order[pos]
+    for bit in range(len(eo.order) - len(decided)):
+        if rest_mask >> bit & 1:
+            mask |= 1 << eo.order[len(decided) + bit]
+    return mask
+
+
 def _completion_profile(g, eo, t, decided):
     """(all connected?, none connected?) over completions of a prefix."""
-    from relnet.graph import terminals_connected
-
-    rest = g.m - len(decided)
     seen_conn = False
     seen_disc = False
-    for mask in range(1 << rest):
-        a = [EdgeState.NON_EXISTENT] * g.m
-        for pos, ex in enumerate(decided):
-            a[eo.order[pos]] = EdgeState.EXISTENT if ex else EdgeState.NON_EXISTENT
-        for bit in range(rest):
-            j = eo.order[len(decided) + bit]
-            a[j] = EdgeState.EXISTENT if mask >> bit & 1 else EdgeState.NON_EXISTENT
-        if terminals_connected(g, a, t):
+    for rest_mask in range(1 << (g.m - len(decided))):
+        if terminals_connected(g, _completion_mask(eo, decided, rest_mask), t):
             seen_conn = True
         else:
             seen_disc = True
@@ -328,23 +332,13 @@ class TestStratumQuotient:
 
 
 def _conditional_reliability(g, eo, t, decided):
-    from relnet.graph import terminals_connected
-
-    rest = g.m - len(decided)
     hits = 0.0
     total = 0.0
-    for mask in range(1 << rest):
-        a = [EdgeState.NON_EXISTENT] * g.m
-        prob = 1.0
-        for pos, ex in enumerate(decided):
-            a[eo.order[pos]] = EdgeState.EXISTENT if ex else EdgeState.NON_EXISTENT
-        for bit in range(rest):
-            j = eo.order[len(decided) + bit]
-            on = bool(mask >> bit & 1)
-            a[j] = EdgeState.EXISTENT if on else EdgeState.NON_EXISTENT
-            prob *= g.probs[j] if on else 1.0 - g.probs[j]
+    for rest_mask in range(1 << (g.m - len(decided))):
+        mask = _completion_mask(eo, decided, rest_mask)
+        prob = assignment_probability(g, mask)
         total += prob
-        if terminals_connected(g, a, t):
+        if terminals_connected(g, mask, t):
             hits += prob
     return hits / total
 

@@ -15,7 +15,7 @@ from relnet.estimators import (
     reduced_sample_count,
     stratified_mc_variance,
 )
-from relnet.graph import TerminalSet, parse_graph, all_uncertain, sample_possible_graph, terminals_connected, assignment_probability
+from relnet.graph import TerminalSet, parse_graph, sample_possible_graph, terminals_connected, assignment_probability
 from relnet.rng import stream
 
 
@@ -203,13 +203,11 @@ class TestHtEstimate:
             rng = stream(900 + rep)
             outcomes = []
             hits = 0
-            base = all_uncertain(2)
             for _ in range(s):
-                a = sample_possible_graph(g, base, rng)
-                ok = terminals_connected(g, a, t)
+                mask = sample_possible_graph(g, rng)
+                ok = terminals_connected(g, mask, t)
                 hits += ok
-                key = tuple(int(x) for x in a)
-                outcomes.append((key, float(assignment_probability(g, a)), ok))
+                outcomes.append((mask, assignment_probability(g, mask), ok))
             strata = [StratumDraw(mass=1.0, draws=s, successes=hits, outcomes=outcomes)]
             estimates.append(ht_estimate(strata, Bounds()))
         mean = statistics.fmean(estimates)

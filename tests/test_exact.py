@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from relnet.exact import EdgeCapExceeded, brute_force_reliability, brute_force_unreliability
+from relnet.exact import EdgeCapExceeded, brute_force_reliability
 from relnet.graph import TerminalSet, parse_graph
 from relnet.generate import random_connected_graph
-from conftest import naive_reliability, small_case
+from conftest import brute_force_unreliability, naive_reliability, small_case
 
 
 def test_single_edge():

@@ -4,11 +4,9 @@ import random
 import pytest
 
 from relnet.graph import (
-    EdgeState,
     GraphFormatError,
     GraphInvariantError,
     TerminalSet,
-    all_uncertain,
     assignment_probability,
     load_graph,
     parse_graph,
@@ -82,58 +80,43 @@ class TestAssignmentProbability:
         # six edges all at 0.7, four on and two off
         g = parse_graph("\n".join(f"{u} {v} 0.7" for u, v in
                                   [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)]))
-        a = [EdgeState.EXISTENT] * 4 + [EdgeState.NON_EXISTENT] * 2
-        p = assignment_probability(g, a)
+        p = assignment_probability(g, 0b001111)
         assert p == pytest.approx(0.7 ** 4 * 0.3 ** 2)
         assert round(p, 4) == 0.0216
 
-    def test_all_uncertain_is_unit_mass(self):
-        g = parse_graph("0 1 0.3\n1 2 0.9")
-        assert assignment_probability(g, all_uncertain(g.m)) == 1.0
-
     def test_two_halves(self):
         g = parse_graph("0 1 0.5\n1 2 0.5")
-        a = [EdgeState.EXISTENT, EdgeState.EXISTENT]
-        assert assignment_probability(g, a) == 0.25
-
-    def test_partial_equals_sum_of_completions(self):
-        for seed in range(10):
-            g, _ = small_case(seed, max_edges=10)
-            rng = random.Random(seed)
-            a = [rng.choice(list(EdgeState)) for _ in range(g.m)]
-            unknown = [i for i, s in enumerate(a) if s == EdgeState.UNCERTAIN]
-            total = 0.0
-            for mask in range(1 << len(unknown)):
-                b = list(a)
-                for bit, i in enumerate(unknown):
-                    b[i] = EdgeState.EXISTENT if mask >> bit & 1 else EdgeState.NON_EXISTENT
-                total += assignment_probability(g, b)
-            assert total == pytest.approx(assignment_probability(g, a), abs=1e-12)
+        assert assignment_probability(g, 0b11) == 0.25
 
     def test_exhaustive_realizations_sum_to_one(self):
         for seed in (0, 3, 9):
             g, _ = small_case(seed, max_edges=12)
             total = 0.0
             for mask in range(1 << g.m):
-                a = [EdgeState.EXISTENT if mask >> j & 1 else EdgeState.NON_EXISTENT
-                     for j in range(g.m)]
-                total += assignment_probability(g, a)
+                total += assignment_probability(g, mask)
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSampling:
-    def test_decided_base_returned_unchanged(self):
-        g = parse_graph("0 1 0.5\n1 2 0.5")
-        base = [EdgeState.EXISTENT, EdgeState.EXISTENT]
-        out = sample_possible_graph(g, base, stream(0))
-        assert out == base
+    def test_one_draw_per_edge_in_index_order(self):
+        # reports stay reproducible only if a draw consumes exactly one
+        # random() per edge, tested as rnd < p in edge-index order
+        for seed in range(10):
+            g, _ = small_case(seed)
+            rng, ref = stream(seed, "draw"), stream(seed, "draw")
+            for _ in range(5):
+                expected = 0
+                for i, p in enumerate(g.probs):
+                    if ref.random() < p:
+                        expected |= 1 << i
+                assert sample_possible_graph(g, rng) == expected
+            assert rng.random() == ref.random()
 
     def test_probability_above_rng_resolution_forces_existent(self):
         g = parse_graph(f"0 1 {1.0 - 2.0 ** -60}")
         rng = stream(123)
         for _ in range(200):
-            out = sample_possible_graph(g, all_uncertain(1), rng)
-            assert out[0] == EdgeState.EXISTENT
+            assert sample_possible_graph(g, rng) == 1
 
     def test_empirical_frequency(self):
         g = parse_graph("0 1 0.7")
@@ -141,7 +124,7 @@ class TestSampling:
         hits = 0
         draws = 100_000
         for _ in range(draws):
-            hits += sample_possible_graph(g, all_uncertain(1), rng)[0] == EdgeState.EXISTENT
+            hits += sample_possible_graph(g, rng)
         assert abs(hits / draws - 0.7) < 0.01
 
 
@@ -149,38 +132,29 @@ class TestConnectivity:
     def test_path_connected(self):
         g = parse_graph("0 1 0.5\n1 2 0.5")
         t = TerminalSet.of([0, 2])
-        assert terminals_connected(g, [EdgeState.EXISTENT] * 2, t)
+        assert terminals_connected(g, 0b11, t)
 
     def test_path_broken(self):
         g = parse_graph("0 1 0.5\n1 2 0.5")
         t = TerminalSet.of([0, 2])
-        assert not terminals_connected(
-            g, [EdgeState.EXISTENT, EdgeState.NON_EXISTENT], t
-        )
+        assert not terminals_connected(g, 0b01, t)
 
     def test_three_terminal_realization(self):
         # four existent edges joining all three terminals, two absent
         g = parse_graph("\n".join(f"{u} {v} 0.7" for u, v in
                                   [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)]))
         t = TerminalSet.of([0, 1, 3])
-        a = [EdgeState.EXISTENT] * 4 + [EdgeState.NON_EXISTENT] * 2
-        assert terminals_connected(g, a, t)
-
-    def test_uncertain_entries_rejected(self):
-        g = parse_graph("0 1 0.5")
-        with pytest.raises(GraphInvariantError):
-            terminals_connected(g, [EdgeState.UNCERTAIN], TerminalSet.of([0, 1]))
+        assert terminals_connected(g, 0b001111, t)
 
     def test_agrees_with_matrix_reachability(self):
         for seed in range(20):
             g, t = small_case(seed, max_edges=12)
             rng = random.Random(seed * 7 + 1)
-            a = [rng.choice((EdgeState.EXISTENT, EdgeState.NON_EXISTENT))
-                 for _ in range(g.m)]
+            mask = sum(rng.choice((1, 0)) << j for j in range(g.m))
             # boolean transitive closure over the existent subgraph
             reach = [[i == j for j in range(g.n)] for i in range(g.n)]
-            for j, s in enumerate(a):
-                if s == EdgeState.EXISTENT:
+            for j in range(g.m):
+                if mask >> j & 1:
                     u, v = g.edges[j]
                     reach[u][v] = reach[v][u] = True
             for h in range(g.n):
@@ -192,7 +166,7 @@ class TestConnectivity:
                                 row_i[j] = True
             terms = t.sorted()
             expected = all(reach[terms[0]][x] for x in terms)
-            assert terminals_connected(g, a, t) == expected
+            assert terminals_connected(g, mask, t) == expected
 
 
 def test_rng_streams_are_independent_and_stable():

@@ -109,6 +109,19 @@ class TestPlainSampling:
                                     estimator="ht", seed=0)
         assert res.estimate == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("copies, p, expected", [
+        (3, 0.9, 0.9871760769316794),
+        (60, 0.5, 1.0),
+    ])
+    def test_ht_variance_clamped_at_zero(self, copies, p, expected):
+        # the simplified HT correction overshoots on parallel edges (about
+        # -19.8 and -3.7e-35 unclamped); the estimate must not move
+        g = parse_graph("\n".join([f"0 1 {p}"] * copies))
+        res = plain_sample_estimate(g, TerminalSet.of([0, 1]), s=100,
+                                    estimator="ht", seed=0)
+        assert res.estimate == expected
+        assert res.variance >= 0.0
+
     def test_ht_estimator_runs_and_brackets(self):
         g, t = small_case(6, max_edges=12)
         res = plain_sample_estimate(g, t, s=300, estimator="ht", seed=3)
