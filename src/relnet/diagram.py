@@ -12,15 +12,20 @@ When a layer outgrows the configured width, the lowest-priority nodes are
 deleted and become sampling strata: each deleted node's remaining edge set is
 collapsed onto its components (a quotient graph) and completions are drawn
 from it.  The final estimate combines the bounds with the per-stratum draws.
+
+Only the draws depend on the seed, so a construction is a seed-free build
+(layers, bounds, deleted nodes, per-layer budgets) followed by a sampling
+pass over the strata it scheduled.  The most recent build is kept and reused.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -109,12 +114,22 @@ def order_edges(
     for v in range(g.n):
         inc_pos[v] = sorted(positions[j] for j in g.incident(v))
     first = [p[0] if p else m for p in inc_pos]
-    last = [p[-1] if p else -1 for p in inc_pos]
-    frontiers: list[tuple[int, ...]] = []
-    for l in range(m + 1):
-        frontiers.append(
-            tuple(v for v in range(g.n) if first[v] < l <= last[v])
-        )
+    # frontiers[l] holds v iff first[v] < l <= last[v]: sweep the layers,
+    # entering v after layer first[v] and leaving after layer last[v]
+    enter: list[list[int]] = [[] for _ in range(m)]
+    leave: list[list[int]] = [[] for _ in range(m)]
+    for v, p in enumerate(inc_pos):
+        if p:
+            enter[p[0]].append(v)
+            leave[p[-1]].append(v)
+    frontier: list[int] = []
+    frontiers: list[tuple[int, ...]] = [()]
+    for pos in range(m):
+        for v in enter[pos]:
+            insort(frontier, v)
+        for v in leave[pos]:
+            del frontier[bisect_left(frontier, v)]
+        frontiers.append(tuple(frontier))
     return EdgeOrder(
         order=tuple(order),
         first=tuple(first),
@@ -508,40 +523,65 @@ def expand_layer(
     return list(nxt.values()), resident_mass
 
 
-def construct(
-    g: UncertainGraph,
-    terminals: TerminalSet,
-    config: BuildConfig,
-    trace: Optional[list] = None,
-) -> EstimateReport:
-    """Run the full layered construction and return the estimate report.
+@dataclass(frozen=True)
+class _Build:
+    """Everything a construction decides before its first draw.
 
-    Bounds accumulate monotonically as prefixes reach the sinks; the sample
-    budget is re-reduced after every layer from the current bounds; deleted
-    and leftover nodes are sampled through their quotient graphs.
+    ``strata`` lists the node groups that get draws, as (layer, kind, nodes,
+    mass, draws); groups with no draws are already in ``residual``.  The
+    nodes are shared by every sampling pass and must not be mutated; ``rows``
+    are the trace rows, copied out to each caller.
     """
-    terminals.validate(g)
-    t_start = time.perf_counter()
-    exact = config.precision == "exact"
+
+    eo: EdgeOrder
+    strata: tuple[tuple[int, str, tuple[Node, ...], float, int], ...]
+    p_c: Probability
+    p_d: Probability
+    bounds: Bounds
+    residual: float
+    drawn: int
+    layers: int
+    max_width: int
+    rows: tuple[dict, ...]
+
+
+@lru_cache(maxsize=1)
+def _build(
+    g: UncertainGraph,
+    exact_probs: Optional[tuple[Fraction, ...]],
+    terminals: TerminalSet,
+    width: Optional[int],
+    samples: int,
+    precision: str,
+    width_cap: Optional[int],
+) -> _Build:
+    """The seed-free part of :func:`construct`: layers, bounds and strata.
+
+    Every stratum draws from its own stream named by its layer and kind, so
+    neither the seed nor the estimator changes what is built, and a build is
+    reused across seeds.  ``exact_probs`` is part of the cache key because
+    graph equality ignores it while exact precision reads it.
+    """
+    # a miss: drop the previous build now, so at most one is alive at a time
+    # (this also zeroes the cache_info() counts)
+    _build.cache_clear()
+    exact = precision == "exact"
     eo = order_edges(g, terminals)
     probs = g.prob_values(exact)
     k = terminals.k
-    m = g.m
-    s = config.samples
-    width = config.width
+    s = samples
 
     p_c = _MassAccumulator(exact)
     p_d = _MassAccumulator(exact)
     prior_deleted = _MassAccumulator(exact)
     one: Probability = Fraction(1) if exact else 1.0
     layer_nodes: list[Node] = [Node(one, (), (), (), 0)]
-    strata: list[StratumDraw] = []
+    strata: list[tuple[int, str, tuple[Node, ...], float, int]] = []
+    rows: list[dict] = []
     unsampled_mass = KahanSum()
     drawn = 0
     max_width = 1
     layers_done = 0
-    want_outcomes = config.estimator == "ht"
-    sample_time = 0.0
     s_prime = s
 
     def current_bounds() -> Bounds:
@@ -551,34 +591,26 @@ def construct(
             pd = max(0.0, 1.0 - pc)
         return Bounds(pc, pd)
 
-    def run_group(
+    def add_stratum(
         nodes: list[Node], mass: float, draws: int, layer: int, kind: str
     ) -> int:
-        """Sample a pooled node group as one stratum; returns draws taken."""
-        nonlocal sample_time
+        """Schedule a pooled node group as one stratum; returns its draws."""
         if draws <= 0 or not nodes:
             if mass > 0:
                 unsampled_mass.add(mass)
             return 0
-        t0 = time.perf_counter()
-        strata.append(
-            sample_group_stratum(
-                g, eo, layer, terminals, nodes, mass, draws,
-                seed=config.seed, kind=kind, want_outcomes=want_outcomes,
-            )
-        )
-        sample_time += time.perf_counter() - t0
+        strata.append((layer, kind, tuple(nodes), mass, draws))
         return draws
 
-    for layer in range(m):
+    for layer in range(g.m):
         step = _make_step(g, eo, layer, terminals)
         layer_nodes, resident_mass = expand_layer(
             layer_nodes, step, probs[step.edge_index], k, p_c, p_d
         )
         layers_done = layer + 1
-        if config.width_cap is not None and len(layer_nodes) > config.width_cap:
+        if width_cap is not None and len(layer_nodes) > width_cap:
             raise WidthCapExceeded(
-                f"layer {layer + 1} width {len(layer_nodes)} exceeds cap {config.width_cap}"
+                f"layer {layer + 1} width {len(layer_nodes)} exceeds cap {width_cap}"
             )
         max_width = max(max_width, len(layer_nodes))
 
@@ -603,7 +635,7 @@ def construct(
             deleted_mass_layer = actual.value
             # the layer's share of the reduced budget, never past the request
             budget = max(0, min(int(s_prime * p_hat), s - drawn))
-            samples_layer = run_group(
+            samples_layer = add_stratum(
                 deleted, deleted_mass_layer, budget, layer + 1, "deleted"
             )
             drawn += samples_layer
@@ -611,18 +643,17 @@ def construct(
             layer_nodes = survivors
             resident_mass = surv_mass.value
 
-        if trace is not None:
-            trace.append(
-                {
-                    "layer": layer + 1,
-                    "width": len(layer_nodes),
-                    "p_c": p_c.value,
-                    "p_d": p_d.value,
-                    "deleted_mass": deleted_mass_layer,
-                    "samples_drawn": samples_layer,
-                    "resident_mass": resident_mass,
-                }
-            )
+        rows.append(
+            {
+                "layer": layer + 1,
+                "width": len(layer_nodes),
+                "p_c": p_c.value,
+                "p_d": p_d.value,
+                "deleted_mass": deleted_mass_layer,
+                "samples_drawn": samples_layer,
+                "resident_mass": resident_mass,
+            }
+        )
 
         if not layer_nodes:
             break
@@ -631,35 +662,82 @@ def construct(
         # as finishing by sampling the resident nodes meets the budget.
         if drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime:
             budget = max(0, min(int(s_prime * resident_mass), s - drawn))
-            batch = run_group(
+            batch = add_stratum(
                 layer_nodes, resident_mass, budget, layer + 1, "resident"
             )
             drawn += batch
-            if trace is not None:
-                trace.append(
-                    {
-                        "layer": layer + 1,
-                        "width": 0,
-                        "p_c": p_c.value,
-                        "p_d": p_d.value,
-                        "deleted_mass": resident_mass,
-                        "samples_drawn": batch,
-                        "resident_mass": 0.0,
-                    }
-                )
+            rows.append(
+                {
+                    "layer": layer + 1,
+                    "width": 0,
+                    "p_c": p_c.value,
+                    "p_d": p_d.value,
+                    "deleted_mass": resident_mass,
+                    "samples_drawn": batch,
+                    "resident_mass": 0.0,
+                }
+            )
             layer_nodes = []
             break
 
-    bounds = current_bounds()
-    s_final = reduced_sample_count(s, bounds)
-    budget_final = SampleBudget(requested=s, reduced=s_final)
     residual = unsampled_mass.value
     if layer_nodes:
         # Natural completion leaves no nodes; anything left means the loop
         # ended without consuming them (possible only with zero layers).
         residual += sum(float(nd.p) for nd in layer_nodes)
+    return _Build(
+        eo=eo,
+        strata=tuple(strata),
+        p_c=p_c.raw,
+        p_d=p_d.raw,
+        bounds=current_bounds(),
+        residual=residual,
+        drawn=drawn,
+        layers=layers_done,
+        max_width=max_width,
+        rows=tuple(rows),
+    )
+
+
+def construct(
+    g: UncertainGraph,
+    terminals: TerminalSet,
+    config: BuildConfig,
+    trace: Optional[list] = None,
+) -> EstimateReport:
+    """Run the full layered construction and return the estimate report.
+
+    Bounds accumulate monotonically as prefixes reach the sinks; the sample
+    budget is re-reduced after every layer from the current bounds; deleted
+    and leftover nodes are sampled through their quotient graphs.  The most
+    recent build is reused when only the seed or the estimator changes.
+    """
+    terminals.validate(g)
+    t_start = time.perf_counter()
+    build = _build(
+        g, g.exact_probs, terminals, config.width, config.samples,
+        config.precision, config.width_cap,
+    )
+    if trace is not None:
+        trace.extend(dict(row) for row in build.rows)
+
+    t_sample = time.perf_counter()
+    want_outcomes = config.estimator == "ht"
+    strata = [
+        sample_group_stratum(
+            g, build.eo, layer, terminals, nodes, mass, draws,
+            seed=config.seed, kind=kind, want_outcomes=want_outcomes,
+        )
+        for layer, kind, nodes, mass, draws in build.strata
+    ]
 
     t_est = time.perf_counter()
+    bounds = build.bounds
+    residual = build.residual
+    drawn = build.drawn
+    budget_final = SampleBudget(
+        requested=config.samples, reduced=reduced_sample_count(config.samples, bounds)
+    )
     is_exact = bounds.undecided <= 1e-12 and not strata
     if is_exact:
         estimate = bounds.p_c
@@ -678,21 +756,21 @@ def construct(
         estimator=config.estimator,
         exact=is_exact,
         unsampled_mass=residual,
-        layers=layers_done,
-        max_width=max_width,
+        layers=build.layers,
+        max_width=build.max_width,
         timings={
-            "construct": time.perf_counter() - t_start - sample_time,
-            "sample": sample_time,
+            "construct": t_sample - t_start,
+            "sample": t_est - t_sample,
             "finalize": time.perf_counter() - t_est,
         },
     )
-    if exact:
+    if config.precision == "exact":
         report.raw = {
-            "p_c": str(p_c.raw),
-            "p_d": str(p_d.raw),
+            "p_c": str(build.p_c),
+            "p_d": str(build.p_d),
         }
         if is_exact:
-            report.raw["estimate"] = str(p_c.raw)
+            report.raw["estimate"] = str(build.p_c)
     return report
 
 

@@ -203,7 +203,9 @@ def ht_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
     Within a stratum sampled ``d`` times, a distinct outcome with conditional
     probability q has inclusion probability pi = 1 - (1-q)^d and contributes
     q/pi when connected; the stratum total is scaled by its mass and offset
-    by p_c like the Monte Carlo combination.
+    by p_c like the Monte Carlo combination.  An outcome drawn although its
+    probability underflowed to 0.0 contributes the limit of q/pi as q -> 0,
+    which is 1/d.
     """
     est = bounds.p_c
     for st in strata:
@@ -213,13 +215,14 @@ def ht_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
             raise EstimatorError("stratum lacks per-draw outcome records")
         seen: dict[Hashable, tuple[float, bool]] = {}
         for key, q, connected in st.outcomes:
-            if q <= 0.0:
-                raise EstimatorError("zero draw probability")
+            if q < 0.0:
+                raise EstimatorError("negative draw probability")
             seen[key] = (q, connected)
         part = 0.0
+        d = st.draws
         for q, connected in seen.values():
             if connected:
-                part += q / inclusion_probability(q, st.draws)
+                part += q / inclusion_probability(q, d) if q > 0.0 else 1.0 / d
         est += st.mass * part
     return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
 

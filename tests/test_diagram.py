@@ -6,11 +6,13 @@ from relnet.diagram import (
     ONE_SINK,
     ZERO_SINK,
     BuildConfig,
+    EdgeOrder,
     Node,
     WidthCapExceeded,
     _apply_both,
     _make_step,
     _MassAccumulator,
+    _build,
     construct,
     exact_reliability,
     expand_layer,
@@ -22,7 +24,7 @@ from relnet.diagram import (
 )
 from relnet.exact import brute_force_reliability
 from relnet.graph import TerminalSet, assignment_probability, parse_graph, terminals_connected
-from relnet.generate import random_terminals, tree_rich_graph
+from relnet.generate import grid_graph, random_terminals, tree_rich_graph
 from conftest import naive_reliability, small_case
 
 
@@ -61,6 +63,33 @@ class TestOrderEdges:
         eo = order_edges(g, TerminalSet.of([0, 4]))
         assert list(eo.order) == [0, 1, 2, 3, 4, 5]
         assert eo.frontiers[2] == (1, 2)
+
+    def test_fields_match_the_definition(self, karate_graph):
+        cases = [small_case(seed) for seed in range(60)]
+        cases.append((karate_graph, TerminalSet.of([0, 33])))
+        cases.append((grid_graph(40, 40, seed=0), TerminalSet.of([0, 1599])))
+        for g, t in cases:
+            eo = order_edges(g, t)
+            assert sorted(eo.order) == list(range(g.m))
+            assert eo == _edge_order_by_definition(g, eo.order)
+
+
+def _edge_order_by_definition(g, order):
+    """EdgeOrder fields derived from ``order`` straight from their definitions."""
+    positions = {j: pos for pos, j in enumerate(order)}
+    inc_pos = [sorted(positions[j] for j in g.incident(v)) for v in range(g.n)]
+    first = [p[0] if p else g.m for p in inc_pos]
+    last = [p[-1] if p else -1 for p in inc_pos]
+    frontiers = tuple(
+        tuple(v for v in range(g.n) if first[v] < l <= last[v])
+        for l in range(g.m + 1)
+    )
+    return EdgeOrder(
+        order=tuple(order),
+        first=tuple(first),
+        frontiers=frontiers,
+        incident_positions=tuple(tuple(p) for p in inc_pos),
+    )
 
 
 ROOT = Node(1.0, (), (), ())
@@ -396,6 +425,74 @@ class TestConstruct:
         d1 = json.dumps(construct(g, t, cfg).to_dict(), sort_keys=True)
         d2 = json.dumps(construct(g, t, cfg).to_dict(), sort_keys=True)
         assert d1 == d2
+
+    def test_reused_build_matches_fresh_build(self):
+        sampled = 0
+        for seed in (3, 5, 7):
+            g, t = small_case(seed, max_edges=12)
+            for cfg in (
+                BuildConfig(width=2, samples=300, seed=1),
+                BuildConfig(width=2, samples=300, estimator="ht", seed=1),
+                BuildConfig(width=2, samples=300, seed=1, precision="exact"),
+            ):
+                _build.cache_clear()
+                runs = []
+                for _ in range(2):
+                    rows = []
+                    rep = construct(g, t, cfg, trace=rows)
+                    runs.append((json.dumps(rep.to_dict(), sort_keys=True), rows))
+                assert _build.cache_info().hits == 1
+                assert runs[0] == runs[1]
+                sampled += rep.samples_used
+        assert sampled > 0
+
+    def test_estimator_switch_reuses_build(self):
+        g, t = small_case(5, max_edges=12)
+        mc = BuildConfig(width=2, samples=300, estimator="mc", seed=2)
+        ht = BuildConfig(width=2, samples=300, estimator="ht", seed=2)
+        _build.cache_clear()
+        fresh = construct(g, t, ht).to_dict()
+        _build.cache_clear()
+        construct(g, t, mc)
+        assert construct(g, t, ht).to_dict() == fresh
+        assert _build.cache_info().hits == 1
+
+    def test_trace_rows_are_the_callers_own(self):
+        g, t = small_case(7, max_edges=12)
+        cfg = BuildConfig(width=2, samples=250, seed=11)
+        first = []
+        construct(g, t, cfg, trace=first)
+        expected = [dict(row) for row in first]
+        first[0]["p_c"] = -1.0
+        first.append({"layer": 0})
+        second = []
+        construct(g, t, cfg, trace=second)
+        assert second == expected
+
+    def test_exact_probs_are_part_of_the_build(self):
+        from fractions import Fraction
+
+        from relnet.graph import UncertainGraph
+
+        decimal = parse_graph("0 1 0.1\n1 2 0.1\n0 2 0.1")
+        binary = UncertainGraph(
+            decimal.n, decimal.edges, decimal.probs,
+            exact_probs=tuple(Fraction(p) for p in decimal.probs),
+        )
+        assert decimal == binary
+        t = TerminalSet.of([0, 1, 2])
+        cfg = BuildConfig(width=None, precision="exact")
+        a = construct(decimal, t, cfg).raw
+        b = construct(binary, t, cfg).raw
+        assert a["p_c"] != b["p_c"]
+        _build.cache_clear()
+        assert construct(binary, t, cfg).raw == b
+
+    def test_width_cap_raises_on_every_call(self, karate_graph):
+        cfg = BuildConfig(width=None, width_cap=50)
+        for _ in range(2):
+            with pytest.raises(WidthCapExceeded):
+                construct(karate_graph, TerminalSet.of([0, 16, 33]), cfg)
 
     def test_width_one_still_within_bounds(self):
         g, t = small_case(3, max_edges=10)

@@ -187,9 +187,16 @@ class TestHtEstimate:
                               outcomes=[("a", 1e-20, True)])]
         assert ht_estimate(strata, Bounds()) == pytest.approx(0.1)
 
-    def test_zero_probability_rejected(self):
+    def test_zero_probability_counts_its_limit(self):
+        # q underflowed to 0.0: q/pi tends to 1/d as q -> 0
+        strata = [StratumDraw(mass=0.5, draws=4, successes=2,
+                              outcomes=[("a", 0.0, True), ("b", 0.0, False),
+                                        ("a", 0.0, True), ("c", 0.0, True)])]
+        assert ht_estimate(strata, Bounds(0.25, 0.0)) == pytest.approx(0.25 + 0.5 * 2 / 4)
+
+    def test_negative_probability_rejected(self):
         strata = [StratumDraw(mass=1.0, draws=1, successes=1,
-                              outcomes=[("a", 0.0, True)])]
+                              outcomes=[("a", -0.1, True)])]
         with pytest.raises(EstimatorError):
             ht_estimate(strata, Bounds())
 

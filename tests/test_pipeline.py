@@ -122,6 +122,18 @@ class TestPlainSampling:
         assert res.estimate == expected
         assert res.variance >= 0.0
 
+    def test_ht_with_realizations_that_underflow_to_zero(self):
+        # every realization of 1100 parallel edges has mass 2^-1100, which
+        # underflows to 0.0; each connected draw still counts 1/s
+        g = parse_graph("\n".join(["0 1 0.5"] * 1100))
+        t = TerminalSet.of([0, 1])
+        ht = plain_sample_estimate(g, t, s=20, estimator="ht", seed=0)
+        mc = plain_sample_estimate(g, t, s=20, estimator="mc", seed=0)
+        assert 0.0 <= ht.estimate <= 1.0
+        assert ht.estimate == pytest.approx(mc.estimate, abs=1e-9)
+        assert mc.estimate == 1.0
+        assert ht.variance >= 0.0
+
     def test_ht_estimator_runs_and_brackets(self):
         g, t = small_case(6, max_edges=12)
         res = plain_sample_estimate(g, t, s=300, estimator="ht", seed=3)
