@@ -334,6 +334,8 @@ def cmd_bench(args) -> int:
         raise UsageError("--k must be in [2, |V|]")
     if args.q1 < 1 or args.q2 < 1:
         raise UsageError("--q1 and --q2 must be >= 1")
+    if args.s < 1 or args.w < 1:
+        raise UsageError("--s and --w must be >= 1")
     t0 = time.perf_counter()
     methods = ("ours-mc", "ours-ht", "sampling-mc", "sampling-ht")
     rows: list[dict] = []

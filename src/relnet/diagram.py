@@ -2,11 +2,12 @@
 
 Edges are decided one per layer.  A node summarizes every realization prefix
 that is still undecided, keeping only per-frontier attributes: connected
-component ids, per-component terminal counts, and per-component counts of
-undecided incident edges.  Prefixes proven connected or disconnected leave
-the diagram immediately and feed two running masses, the lower bound ``p_c``
-and the complement of the upper bound ``p_d``.  Only one layer is resident
-at a time.
+component ids and per-component terminal counts.  A component's count of
+undecided incident edges, which deletion priorities read, is derived per
+layer from its frontier vertices.  Prefixes proven connected or disconnected
+leave the diagram immediately and feed two running masses, the lower bound
+``p_c`` and the complement of the upper bound ``p_d``.  Only one layer is
+resident at a time.
 
 When a layer outgrows the configured width, the lowest-priority nodes are
 deleted and become sampling strata: each deleted node's remaining edge set is
@@ -146,29 +147,23 @@ class Node:
     """Frontier summary of a set of undecided realization prefixes.
 
     ``comp[i]`` is the component id of the i-th frontier vertex, ids
-    canonical by first occurrence along the frontier.  ``t`` and ``d`` are
-    indexed by component id: terminals connected into the component, and
-    undecided edge endpoints still attached to it.
+    canonical by first occurrence along the frontier.  ``t[c]`` counts the
+    terminals connected into component c.  A component's undecided edge
+    endpoints are not stored: they follow from ``comp`` and the layer, see
+    :func:`node_priority`.
     """
 
-    __slots__ = ("p", "comp", "t", "d", "order")
+    __slots__ = ("p", "comp", "t")
 
     def __init__(
-        self,
-        p: Probability,
-        comp: tuple[int, ...],
-        t: tuple[int, ...],
-        d: tuple[int, ...],
-        order: int = 0,
+        self, p: Probability, comp: tuple[int, ...], t: tuple[int, ...]
     ) -> None:
         self.p = p
         self.comp = comp
         self.t = t
-        self.d = d
-        self.order = order
 
     def __repr__(self) -> str:  # diagnostic only
-        return f"Node(p={self.p!r}, comp={self.comp}, t={self.t}, d={self.d})"
+        return f"Node(p={self.p!r}, comp={self.comp}, t={self.t})"
 
 
 ONE_SINK = "one"
@@ -179,17 +174,13 @@ ZERO_SINK = "zero"
 class _LayerStep:
     """Precomputed geometry for deciding the edge at one layer."""
 
-    layer: int
     edge_index: int
-    u: int
-    v: int
     u_pos: int  # position of u in the old frontier, -1 if entering
     v_pos: int
     u_tinit: int  # terminal count of u's singleton component on entry
     v_tinit: int
-    u_dinit: int  # undecided incident edges of u on entry (this edge included)
-    v_dinit: int
     next_src: tuple[int, ...]  # per new-frontier vertex: old pos, or -2 (u) / -3 (v)
+    rem: tuple[int, ...]  # per new-frontier vertex: incident edges after this layer
 
 
 def _make_step(
@@ -208,33 +199,27 @@ def _make_step(
             src.append(-3)
         else:
             src.append(pos[x])
-    u_fut = len(eo.incident_positions[u]) - bisect_right(eo.incident_positions[u], layer)
-    v_fut = len(eo.incident_positions[v]) - bisect_right(eo.incident_positions[v], layer)
+    inc = eo.incident_positions
     return _LayerStep(
-        layer=layer,
         edge_index=j,
-        u=u,
-        v=v,
         u_pos=pos.get(u, -1),
         v_pos=pos.get(v, -1),
         u_tinit=1 if u in terminals.vertices else 0,
         v_tinit=1 if v in terminals.vertices else 0,
-        u_dinit=u_fut + 1,
-        v_dinit=v_fut + 1,
         next_src=tuple(src),
+        rem=tuple(len(inc[x]) - bisect_right(inc[x], layer) for x in fn),
     )
 
 
-def _finish(src, t, d, nc, merged_from, merged_to):
+def _finish(src, t, nc, merged_from, merged_to):
     """Renumber surviving components over the new frontier.
 
     Returns ZERO_SINK when a terminal-bearing component has no member left,
-    else (comp ids, t, d, t-sign pattern), ids canonical by first occurrence.
+    else (comp ids, t, t-sign pattern), ids canonical by first occurrence.
     """
     remap = [-1] * nc
     cc: list[int] = []
     ct: list[int] = []
-    cd: list[int] = []
     sign: list[bool] = []
     fresh = 0
     for c in src:
@@ -247,13 +232,12 @@ def _finish(src, t, d, nc, merged_from, merged_to):
             remap[c] = i
             tc = t[c]
             ct.append(tc)
-            cd.append(d[c])
             sign.append(tc > 0)
         cc.append(i)
     for c in range(nc):
         if t[c] > 0 and remap[c] < 0 and c != merged_from:
             return ZERO_SINK
-    return (tuple(cc), tuple(ct), tuple(cd), tuple(sign))
+    return (tuple(cc), tuple(ct), tuple(sign))
 
 
 def _apply_both(node: Node, step: _LayerStep, k: int):
@@ -261,11 +245,10 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
 
     Returns (off, on) where each entry is ONE_SINK, ZERO_SINK, or the child
     attribute tuple produced by :func:`_finish`.  The shared bookkeeping
-    (component entry, undecided-count decrement) is done once.
+    (component entry) is done once.
     """
     comp = node.comp
     baset = list(node.t)
-    based = list(node.d)
 
     u_pos = step.u_pos
     if u_pos >= 0:
@@ -273,23 +256,19 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
     else:
         cu = len(baset)
         baset.append(step.u_tinit)
-        based.append(step.u_dinit)
     v_pos = step.v_pos
     if v_pos >= 0:
         cv = comp[v_pos]
     else:
         cv = len(baset)
         baset.append(step.v_tinit)
-        based.append(step.v_dinit)
-    based[cu] -= 1
-    based[cv] -= 1
     nc = len(baset)
 
     src = [
         comp[s] if s >= 0 else (cu if s == -2 else cv)
         for s in step.next_src
     ]
-    off = _finish(src, baset, based, nc, -1, -1)
+    off = _finish(src, baset, nc, -1, -1)
     if cu == cv:
         # a cycle-closing edge changes nothing structural either way
         return off, off
@@ -297,37 +276,45 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
     if tcu == k:
         return off, ONE_SINK
     newt = list(baset)
-    newd = list(based)
     newt[cu] = tcu
-    newd[cu] += newd[cv]
-    return off, _finish(src, newt, newd, nc, cv, cu)
+    return off, _finish(src, newt, nc, cv, cu)
 
 
 # ---------------------------------------------------------------------------
 # Priorities and deletion
 # ---------------------------------------------------------------------------
 
-def node_priority(node: Node, k: int) -> float:
+def node_priority(node: Node, k: int, rem: Sequence[int]) -> float:
     """Deletion priority: mass times closeness to either sink.
 
     A component scores t/k (nearly all terminals gathered) or 1/d (nearly
     out of undecided edges), whichever is larger; nodes with no
-    terminal-bearing component score 0 and are deleted first.
+    terminal-bearing component score 0 and are deleted first.  d sums
+    ``rem``, the layer's undecided incident edges per frontier vertex, over
+    the component's frontier vertices.
     """
+    d = [0] * len(node.t)
+    for c, r in zip(node.comp, rem):
+        d[c] += r
     best = 0.0
     for c, tc in enumerate(node.t):
         if tc > 0:
-            score = max(tc / k, 1.0 / node.d[c])
+            score = max(tc / k, 1.0 / d[c])
             if score > best:
                 best = score
     return float(node.p) * best
 
 
-def split_layer(nodes: list[Node], width: int, k: int) -> tuple[list[Node], list[Node]]:
-    """Keep the ``width`` highest-priority nodes; the rest are deleted."""
+def split_layer(
+    nodes: list[Node], width: int, k: int, rem: Sequence[int]
+) -> tuple[list[Node], list[Node]]:
+    """Keep the ``width`` highest-priority nodes; the rest are deleted.
+
+    Ties keep the input order, which is the layer's creation order.
+    """
     if len(nodes) <= width:
         return nodes, []
-    ranked = sorted(nodes, key=lambda nd: (-node_priority(nd, k), nd.order))
+    ranked = sorted(nodes, key=lambda nd: -node_priority(nd, k, rem))
     return ranked[:width], ranked[width:]
 
 
@@ -406,6 +393,8 @@ def sample_group_stratum(
 
     The stratum draws from its own stream, named by its layer and ``kind``:
     a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
+    An HT outcome is keyed by the node's index in ``nodes`` and the edge
+    mask drawn on its quotient.
     """
     rng = rngmod.stream(seed, "layer", layer, kind)
     masses = [float(nd.p) for nd in nodes]
@@ -432,7 +421,7 @@ def sample_group_stratum(
             successes += 1
         if want_outcomes:
             q = (masses[i] / total) * assignment_probability(quotient, mask)
-            outcomes.append(((nodes[i].order, mask), q, ok))
+            outcomes.append(((i, mask), q, ok))
     return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
 
 
@@ -512,11 +501,11 @@ def expand_layer(
             elif res is ZERO_SINK:
                 p_d.add(mass)
             else:
-                comp, t, d, sign = res
+                comp, t, sign = res
                 key = (comp, sign)
                 kept = nxt_get(key)
                 if kept is None:
-                    nxt[key] = Node(mass, comp, t, d, len(nxt))
+                    nxt[key] = Node(mass, comp, t)
                 else:
                     kept.p = kept.p + mass
                 resident_mass += mass
@@ -575,7 +564,7 @@ def _build(
     p_d = _MassAccumulator(exact)
     prior_deleted = _MassAccumulator(exact)
     one: Probability = Fraction(1) if exact else 1.0
-    layer_nodes: list[Node] = [Node(one, (), (), (), 0)]
+    layer_nodes: list[Node] = [Node(one, (), ())]
     strata: list[tuple[int, str, tuple[Node, ...], float, int]] = []
     rows: list[dict] = []
     unsampled_mass = KahanSum()
@@ -620,7 +609,7 @@ def _build(
         deleted_mass_layer = 0.0
         samples_layer = 0
         if width is not None and len(layer_nodes) > width:
-            survivors, deleted = split_layer(layer_nodes, width, k)
+            survivors, deleted = split_layer(layer_nodes, width, k, step.rem)
             surv_mass = _MassAccumulator(exact)
             for nd in survivors:
                 surv_mass.add(nd.p)

@@ -267,6 +267,12 @@ class TestErrorPaths:
     def test_invalid_k_is_usage_error(self, path_graph_file):
         assert run(["bench", "--graph", str(path_graph_file), "--k", "1"]) == 2
 
+    def test_bench_bad_budget_or_width_is_usage_error(self, path_graph_file):
+        base = ["bench", "--graph", str(path_graph_file), "--k", "2",
+                "--q1", "1", "--q2", "1", "--no-exact"]
+        for bad in (["--s", "0"], ["--s", "-3"], ["--w", "0"]):
+            assert run(base + bad) == 2, bad
+
     def test_brute_cap_is_resource_error(self, tmp_path):
         from relnet.generate import random_connected_graph
         from relnet.graph import write_graph

@@ -92,7 +92,7 @@ def _edge_order_by_definition(g, order):
     )
 
 
-ROOT = Node(1.0, (), (), ())
+ROOT = Node(1.0, (), ())
 
 
 def _both(g, t, layer, node):
@@ -102,8 +102,8 @@ def _both(g, t, layer, node):
 
 def _child(res):
     """A node for a non-sink transition result (its mass is not tracked)."""
-    comp, tt, dd, _ = res
-    return Node(1.0, comp, tt, dd)
+    comp, tt, _ = res
+    return Node(1.0, comp, tt)
 
 
 def _expand(g, t, layer, nodes):
@@ -224,8 +224,8 @@ class TestMerge:
         return _expand(parse_graph(self.GRID), TerminalSet.of(self.TERMS), 2, list(nodes))
 
     def test_equal_sign_patterns_merge(self):
-        a = Node(0.25, (0, 1), (2, 0), (3, 1), order=0)
-        b = Node(0.5, (0, 1), (1, 0), (2, 1), order=1)
+        a = Node(0.25, (0, 1), (2, 0))
+        b = Node(0.5, (0, 1), (1, 0))
         nxt, p_c, p_d = self._layer(a, b)
         assert p_c == p_d == 0.0
         assert [nd.comp for nd in nxt] == [(0, 1, 2), (0, 0, 1)]
@@ -233,14 +233,14 @@ class TestMerge:
         assert [nd.t for nd in nxt] == [(2, 0, 0), (2, 0)]  # first child's t kept
 
     def test_different_sign_patterns_stay_apart(self):
-        a = Node(0.25, (0, 1), (1, 0), (3, 1), order=0)
-        b = Node(0.5, (0, 1), (0, 1), (2, 1), order=1)
+        a = Node(0.25, (0, 1), (1, 0))
+        b = Node(0.5, (0, 1), (0, 1))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
     def test_different_component_patterns_stay_apart(self):
-        a = Node(0.25, (0, 0), (1,), (3,), order=0)
-        b = Node(0.5, (0, 1), (1, 1), (2, 2), order=1)
+        a = Node(0.25, (0, 0), (1,))
+        b = Node(0.5, (0, 1), (1, 1))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
@@ -258,7 +258,7 @@ class TestMerge:
                     for res, mass in zip(_both(g, t, layer, nd),
                                          (nd.p * (1 - pe), nd.p * pe)):
                         if res is not ONE_SINK and res is not ZERO_SINK:
-                            key = (res[0], res[3])
+                            key = (res[0], res[2])
                             expected[key] = expected.get(key, 0.0) + mass
                 nodes, _, _ = _expand(g, t, layer, nodes)
                 got = {(nd.comp, tuple(x > 0 for x in nd.t)): nd.p for nd in nodes}
@@ -269,29 +269,52 @@ class TestMerge:
 
 class TestPriority:
     def test_formula(self):
-        nd = Node(0.1, (0,), (2,), (3,))
-        assert node_priority(nd, 4) == pytest.approx(0.05)
+        nd = Node(0.1, (0,), (2,))
+        assert node_priority(nd, 4, (3,)) == pytest.approx(0.05)
 
     def test_zero_without_terminals(self):
-        nd = Node(0.9, (0, 1), (0, 0), (2, 2))
-        assert node_priority(nd, 3) == 0.0
+        nd = Node(0.9, (0, 1), (0, 0))
+        assert node_priority(nd, 3, (2, 2)) == 0.0
 
     def test_linear_in_mass(self):
-        lo = Node(0.1, (0,), (1,), (2,))
-        hi = Node(0.4, (0,), (1,), (2,))
-        assert node_priority(hi, 3) == pytest.approx(4 * node_priority(lo, 3))
+        lo = Node(0.1, (0,), (1,))
+        hi = Node(0.4, (0,), (1,))
+        assert node_priority(hi, 3, (2,)) == pytest.approx(
+            4 * node_priority(lo, 3, (2,))
+        )
+
+    def test_component_degree_sums_its_frontier_vertices(self):
+        # d of component 0 is 1 + 2 = 3, so it scores max(1/3, 1/3)
+        nd = Node(0.6, (0, 1, 0), (1, 0))
+        assert node_priority(nd, 3, (1, 5, 2)) == pytest.approx(0.2)
 
     def test_split_layer_keeps_top(self):
-        nodes = [Node(p, (0,), (1,), (1,), order=i)
-                 for i, p in enumerate((0.1, 0.5, 0.3))]
-        survivors, deleted = split_layer(nodes, 2, 2)
+        nodes = [Node(p, (0,), (1,)) for p in (0.1, 0.5, 0.3)]
+        survivors, deleted = split_layer(nodes, 2, 2, (1,))
         assert [nd.p for nd in survivors] == [0.5, 0.3]
         assert [nd.p for nd in deleted] == [0.1]
 
+    def test_split_layer_ties_keep_input_order(self):
+        nodes = [Node(0.5, (0,), (1,)) for _ in range(4)]
+        survivors, deleted = split_layer(nodes, 2, 2, (1,))
+        assert survivors == nodes[:2] and deleted == nodes[2:]
+
     def test_split_layer_noop_when_under_width(self):
-        nodes = [Node(0.5, (0,), (1,), (1,))]
-        survivors, deleted = split_layer(nodes, 5, 2)
+        nodes = [Node(0.5, (0,), (1,))]
+        survivors, deleted = split_layer(nodes, 5, 2, (1,))
         assert survivors == nodes and deleted == []
+
+    def test_rem_counts_incident_edges_after_the_layer(self, karate_graph):
+        cases = [small_case(seed) for seed in range(60)]
+        cases.append((karate_graph, TerminalSet.of([6, 7, 9, 18, 27])))
+        for g, t in cases:
+            eo = order_edges(g, t)
+            for layer in range(g.m):
+                later = [g.edges[eo.order[pos]] for pos in range(layer + 1, g.m)]
+                expected = tuple(
+                    sum(x in edge for edge in later) for x in eo.frontiers[layer + 1]
+                )
+                assert _make_step(g, eo, layer, t).rem == expected
 
 
 class TestDeleteAndSample:
@@ -303,18 +326,19 @@ class TestDeleteAndSample:
         while len(nodes) < 4 and layer < g.m - 1:
             nodes, _, _ = _expand(g, t, layer, nodes)
             layer += 1
-        return g, eo, t, nodes, layer
+        rem = _make_step(g, eo, layer - 1, t).rem
+        return g, eo, t, nodes, layer, rem
 
     def test_under_width_is_noop(self):
-        _g, _eo, t, nodes, _layer = self._layer(6)
-        survivors, deleted = split_layer(nodes, len(nodes), t.k)
+        _g, _eo, t, nodes, _layer, rem = self._layer(6)
+        survivors, deleted = split_layer(nodes, len(nodes), t.k, rem)
         assert survivors == nodes
         assert deleted == []
 
     def test_deleted_nodes_become_a_stratum(self):
-        g, eo, t, nodes, layer = self._layer(6)
+        g, eo, t, nodes, layer, rem = self._layer(6)
         assert len(nodes) >= 2
-        survivors, deleted = split_layer(nodes, 1, t.k)
+        survivors, deleted = split_layer(nodes, 1, t.k, rem)
         mass = sum(float(nd.p) for nd in deleted)
         stratum = sample_group_stratum(
             g, eo, layer, t, deleted, mass, 30, seed=0, kind="deleted"
@@ -534,6 +558,35 @@ class TestConstruct:
                 assert len(set(paths)) == len(paths), (seed, w, paths)
                 sampled += len(paths)
         assert sampled > 0
+
+    def test_stratified_mc_is_unbiased(self):
+        # a stratum's sample mean has expectation sum_i (m_i/M) R(quotient_i)
+        # exactly, so the estimate's expectation before clamping is computed
+        # without drawing; unsampled mass enters at its midpoint
+        exact_cases = strata_seen = 0
+        for seed in range(60):
+            g, t = small_case(seed)
+            ref = naive_reliability(g, t)
+            for w in (1, 2, 4, 16):
+                for s in (20, 200):
+                    build = _build(g, g.exact_probs, t, w, s, "double", None)
+                    expected = build.p_c + 0.5 * build.residual
+                    for layer, _kind, nodes, mass, _draws in build.strata:
+                        total = sum(float(nd.p) for nd in nodes)
+                        mean = sum(
+                            float(nd.p) / total * naive_reliability(
+                                *stratum_quotient(g, build.eo, layer, nd, t)
+                            )
+                            for nd in nodes
+                        )
+                        expected += mass * mean
+                        strata_seen += 1
+                    if build.residual == 0:
+                        exact_cases += 1
+                        assert expected == pytest.approx(ref, abs=1e-12)
+                    else:
+                        assert abs(expected - ref) <= 0.5 * build.residual + 1e-12
+        assert exact_cases > 0 and strata_seen > 0
 
     def test_statistical_agreement_with_oracle(self):
         import statistics
