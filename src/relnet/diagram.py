@@ -562,7 +562,6 @@ def _build(
 
     p_c = _MassAccumulator(exact)
     p_d = _MassAccumulator(exact)
-    prior_deleted = _MassAccumulator(exact)
     one: Probability = Fraction(1) if exact else 1.0
     layer_nodes: list[Node] = [Node(one, (), ())]
     strata: list[tuple[int, str, tuple[Node, ...], float, int]] = []
@@ -580,16 +579,40 @@ def _build(
             pd = max(0.0, 1.0 - pc)
         return Bounds(pc, pd)
 
-    def add_stratum(
-        nodes: list[Node], mass: float, draws: int, layer: int, kind: str
-    ) -> int:
-        """Schedule a pooled node group as one stratum; returns its draws."""
-        if draws <= 0 or not nodes:
+    def mass_of(nodes: list[Node]) -> float:
+        acc = _MassAccumulator(exact)
+        for nd in nodes:
+            acc.add(nd.p)
+        return acc.value
+
+    def add_stratum(nodes: list[Node], mass: float, layer: int, kind: str) -> int:
+        """Schedule a pooled node group as one stratum; returns its draws.
+
+        The group gets its mass's share of the reduced budget, never past
+        the request; a group with no draws leaves its mass unsampled.
+        """
+        nonlocal drawn
+        draws = max(0, min(int(s_prime * mass), s - drawn))
+        if draws == 0:
             if mass > 0:
                 unsampled_mass.add(mass)
             return 0
         strata.append((layer, kind, tuple(nodes), mass, draws))
+        drawn += draws
         return draws
+
+    def row(layer: int, width: int, deleted: float, drawn_here: int,
+            resident: float) -> dict:
+        """One trace row, with the running bounds masses."""
+        return {
+            "layer": layer,
+            "width": width,
+            "p_c": p_c.value,
+            "p_d": p_d.value,
+            "deleted_mass": deleted,
+            "samples_drawn": drawn_here,
+            "resident_mass": resident,
+        }
 
     for layer in range(g.m):
         step = _make_step(g, eo, layer, terminals)
@@ -602,46 +625,17 @@ def _build(
                 f"layer {layer + 1} width {len(layer_nodes)} exceeds cap {width_cap}"
             )
         max_width = max(max_width, len(layer_nodes))
+        s_prime = reduced_sample_count(s, current_bounds())
 
-        bounds_now = current_bounds()
-        s_prime = reduced_sample_count(s, bounds_now)
-
-        deleted_mass_layer = 0.0
+        deleted_mass = 0.0
         samples_layer = 0
         if width is not None and len(layer_nodes) > width:
-            survivors, deleted = split_layer(layer_nodes, width, k, step.rem)
-            surv_mass = _MassAccumulator(exact)
-            for nd in survivors:
-                surv_mass.add(nd.p)
-            # expected deleted mass from the maintained attributes
-            p_hat = max(
-                0.0,
-                1.0 - prior_deleted.value - surv_mass.value - p_c.value - p_d.value,
-            )
-            actual = _MassAccumulator(exact)
-            for nd in deleted:
-                actual.add(nd.p)
-            deleted_mass_layer = actual.value
-            # the layer's share of the reduced budget, never past the request
-            budget = max(0, min(int(s_prime * p_hat), s - drawn))
-            samples_layer = add_stratum(
-                deleted, deleted_mass_layer, budget, layer + 1, "deleted"
-            )
-            drawn += samples_layer
-            prior_deleted.add(actual.raw)
-            layer_nodes = survivors
-            resident_mass = surv_mass.value
-
+            layer_nodes, deleted = split_layer(layer_nodes, width, k, step.rem)
+            deleted_mass = mass_of(deleted)
+            samples_layer = add_stratum(deleted, deleted_mass, layer + 1, "deleted")
+            resident_mass = mass_of(layer_nodes)
         rows.append(
-            {
-                "layer": layer + 1,
-                "width": len(layer_nodes),
-                "p_c": p_c.value,
-                "p_d": p_d.value,
-                "deleted_mass": deleted_mass_layer,
-                "samples_drawn": samples_layer,
-                "resident_mass": resident_mass,
-            }
+            row(layer + 1, len(layer_nodes), deleted_mass, samples_layer, resident_mass)
         )
 
         if not layer_nodes:
@@ -650,22 +644,8 @@ def _build(
         # Budget check: once sampling has begun, stop constructing as soon
         # as finishing by sampling the resident nodes meets the budget.
         if drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime:
-            budget = max(0, min(int(s_prime * resident_mass), s - drawn))
-            batch = add_stratum(
-                layer_nodes, resident_mass, budget, layer + 1, "resident"
-            )
-            drawn += batch
-            rows.append(
-                {
-                    "layer": layer + 1,
-                    "width": 0,
-                    "p_c": p_c.value,
-                    "p_d": p_d.value,
-                    "deleted_mass": resident_mass,
-                    "samples_drawn": batch,
-                    "resident_mass": 0.0,
-                }
-            )
+            batch = add_stratum(layer_nodes, resident_mass, layer + 1, "resident")
+            rows.append(row(layer + 1, 0, resident_mass, batch, 0.0))
             layer_nodes = []
             break
 

@@ -15,22 +15,22 @@ from fractions import Fraction
 from typing import Optional
 
 from . import rng as rngmod
-from .diagram import BuildConfig, construct, exact_reliability
+from .diagram import (
+    BuildConfig,
+    Node,
+    construct,
+    exact_reliability,
+    order_edges,
+    sample_group_stratum,
+)
 from .estimators import (
     Bounds,
     EstimateReport,
-    StratumDraw,
     combine_strata,
     reduced_sample_count,
     strata_variance,
 )
-from .graph import (
-    TerminalSet,
-    UncertainGraph,
-    assignment_probability,
-    sample_possible_graph,
-    terminals_connected,
-)
+from .graph import TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig, to_fraction
 from .reduction import Decomposition, preprocess
 
@@ -207,17 +207,12 @@ def exact_pipeline(
     *,
     width_cap: int = 1_000_000,
     precision: str = "double",
-    use_preprocess: bool = True,
 ) -> Probability:
     """Exact reliability through the same decomposition path.
 
     This is the reference the benchmark harness compares estimates against;
     parts are solved by the unbounded construction.
     """
-    if not use_preprocess:
-        return exact_reliability(
-            g, terminals, width_cap=width_cap, precision=precision
-        )
     deco = preprocess(g, terminals)
     if precision == "exact":
         value: Probability = (
@@ -248,26 +243,23 @@ def plain_sample_estimate(
 ) -> PipelineResult:
     """Independent draws over the whole realization space.
 
-    The draws form one stratum of mass 1 with no bounds, combined and
-    assessed by the same estimator code as the diagram's strata.
+    The whole space is the root of a width-0 diagram, deleted before layer
+    1: one stratum of mass 1 with bounds of 0, drawn by the diagram's
+    sampler and combined and assessed by the same estimator code as the
+    diagram's strata.  Like :func:`construct`, it needs every edge
+    reachable from the smallest terminal.
     """
     terminals.validate(g)
     if s < 1:
         raise ValueError("sample count must be >= 1")
     t0 = time.perf_counter()
-    rng = rngmod.stream(seed, "plain")
-    successes = 0
-    outcomes: Optional[list] = [] if estimator == "ht" else None
-    for _ in range(s):
-        mask = sample_possible_graph(g, rng)
-        ok = terminals_connected(g, mask, terminals)
-        if ok:
-            successes += 1
-        if outcomes is not None:
-            outcomes.append((mask, assignment_probability(g, mask), ok))
-
+    strata = [
+        sample_group_stratum(
+            g, order_edges(g, terminals), 0, terminals, [Node(1.0, (), ())],
+            1.0, s, seed=seed, kind="deleted", want_outcomes=estimator == "ht",
+        )
+    ]
     bounds = Bounds(0.0, 0.0)
-    strata = [StratumDraw(mass=1.0, draws=s, successes=successes, outcomes=outcomes)]
     est = combine_strata(estimator, strata, bounds)
     variance = strata_variance(estimator, strata, bounds, est, s)
     elapsed = time.perf_counter() - t0

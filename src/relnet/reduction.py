@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import GraphInvariantError, TerminalSet, UncertainGraph
+from .graph import GraphInvariantError, TerminalSet, UncertainGraph, terminals_connected
 from .numerics import to_fraction
 
 
@@ -433,8 +433,12 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     Transforming a part can expose fresh bridges (a collapsed chain between
     two terminals, say), so any part whose edge count dropped goes through
     another round.  Each round strictly shrinks re-queued parts, so the loop
-    terminates.
+    terminates.  Terminals in different components give reliability 0 and
+    no parts.
     """
+    if not terminals_connected(g, (1 << g.m) - 1, terminals):
+        zero = Fraction(0) if g.exact_probs is not None else None
+        return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
     pb = 1.0
     pb_exact = Fraction(1)
     any_exact = g.exact_probs is not None

@@ -80,7 +80,7 @@ class TestEstimate:
         assert run(["estimate", "--graph", str(grid_file), "--terminals", "0,8",
                     "--s", "200", "--w", "2", "--trace", str(trace),
                     "--output", str(tmp_path / "r.json")]) == 0
-        rows = list(csv.DictReader(trace.open()))
+        rows = list(csv.DictReader(trace.read_text().splitlines()))
         assert rows
         assert set(rows[0]) == {"layer", "width", "p_c", "p_d",
                                 "deleted_mass", "samples_drawn"}
@@ -241,7 +241,7 @@ class TestBench:
         assert run(["bench", "--graph", str(grid_file), "--k", "2",
                     "--q1", "1", "--q2", "2", "--s", "100", "--w", "4",
                     "--format", "csv", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8  # 4 methods x q1 x q2
         assert {"method", "search", "rep", "estimate", "exact"} <= set(rows[0])
 

@@ -22,6 +22,7 @@ from relnet.diagram import (
     split_layer,
     stratum_quotient,
 )
+from relnet.estimators import Bounds, StratumDraw, ht_estimate
 from relnet.exact import brute_force_reliability
 from relnet.graph import TerminalSet, assignment_probability, parse_graph, terminals_connected
 from relnet.generate import grid_graph, random_terminals, tree_rich_graph
@@ -383,6 +384,16 @@ class TestStratumQuotient:
             expected = _conditional_reliability(g, eo, t, decided)
             assert got == pytest.approx(expected, abs=1e-9)
 
+    def test_root_quotient_has_the_graphs_reliability(self):
+        # the plain baseline samples the root's quotient in place of the graph
+        for seed in range(40):
+            g, t = small_case(seed)
+            quotient, qterms = stratum_quotient(g, order_edges(g, t), 0, ROOT, t)
+            assert quotient.m == g.m
+            assert naive_reliability(quotient, qterms) == pytest.approx(
+                naive_reliability(g, t), abs=1e-12
+            )
+
 
 def _conditional_reliability(g, eo, t, decided):
     hits = 0.0
@@ -587,6 +598,60 @@ class TestConstruct:
                     else:
                         assert abs(expected - ref) <= 0.5 * build.residual + 1e-12
         assert exact_cases > 0 and strata_seen > 0
+
+    def test_stratified_ht_is_unbiased(self):
+        # enumerate a stratum's outcomes ((node index, mask), conditional
+        # probability, connected) and average the HT estimate exactly over
+        # every d-draw sequence; mass <= 0.5 keeps the estimate below the
+        # clamp at 1 for d <= 2
+        pairs_seen = 0
+        for seed in range(60):
+            g, t = small_case(seed)
+            for w in (1, 2, 4):
+                build = _build(g, g.exact_probs, t, w, 200, "double", None)
+                for layer, kind, nodes, mass, draws in build.strata:
+                    if mass > 0.5:
+                        continue
+                    masses = [float(nd.p) for nd in nodes]
+                    total = 0.0  # summed in order, as the sampler sums
+                    for x in masses:
+                        total += x
+                    table = []
+                    for i, nd in enumerate(nodes):
+                        quotient, qterms = stratum_quotient(g, build.eo, layer, nd, t)
+                        if len(table) + (1 << quotient.m) > 64:
+                            table = None
+                            break
+                        table.extend(
+                            ((i, mask),
+                             (masses[i] / total) * assignment_probability(quotient, mask),
+                             terminals_connected(quotient, mask, qterms))
+                            for mask in range(1 << quotient.m)
+                        )
+                    if table is None:
+                        continue
+                    expected = mass * sum(q for _, q, ok in table if ok)
+                    for d in (1, 2):
+                        seqs = [((), 1.0)]
+                        for _ in range(d):
+                            seqs = [(seq + (o,), pr * o[1])
+                                    for seq, pr in seqs for o in table]
+                        mean = sum(
+                            pr * ht_estimate(
+                                [StratumDraw(mass, d, sum(o[2] for o in seq), list(seq))],
+                                Bounds(0.0, 0.0),
+                            )
+                            for seq, pr in seqs
+                        )
+                        assert mean == pytest.approx(expected, abs=1e-12)
+                        pairs_seen += 1
+                    drawn = sample_group_stratum(
+                        g, build.eo, layer, t, nodes, mass, draws,
+                        seed=seed, kind=kind, want_outcomes=True,
+                    )
+                    rows = set(table)
+                    assert all(rec in rows for rec in drawn.outcomes)
+        assert pairs_seen > 100
 
     def test_statistical_agreement_with_oracle(self):
         import statistics

@@ -30,6 +30,10 @@ CASES = (
      ["--w", "100", "--seed", "0", "--estimator", "ht"]),
     ("grid10-mc", "grid10.edges", "0,55,99",
      ["--w", "100", "--seed", "1", "--trace", "grid10-mc.trace.csv"]),
+    ("karate-plain-mc", "karate.edges", "6,7,9,18,27",
+     ["--no-bdd", "--s", "2000", "--seed", "0"]),
+    ("karate-plain-ht", "karate.edges", "6,7,9,18,27",
+     ["--no-bdd", "--s", "2000", "--seed", "0", "--estimator", "ht"]),
     ("small5-exact", "small5.edges",
      ",".join(map(str, small_case(5)[1].sorted())),
      ["--w", "2", "--precision", "exact"]),

@@ -1,7 +1,10 @@
 import statistics
+from fractions import Fraction
 
 import pytest
 
+from relnet import estimators
+from relnet.diagram import exact_reliability
 from relnet.exact import brute_force_reliability
 from relnet.pipeline import (
     estimate_pipeline,
@@ -79,8 +82,32 @@ class TestExactPipeline:
     def test_no_preprocess_variant(self):
         g, t = small_case(3, max_edges=12)
         a = float(exact_pipeline(g, t))
-        b = float(exact_pipeline(g, t, use_preprocess=False))
+        b = float(exact_reliability(g, t))
         assert a == pytest.approx(b, abs=1e-9)
+
+
+class TestDisconnectedTerminals:
+    # terminals in different components: no realization connects them
+    CASES = (
+        ("0 1 0.5\n2 3 0.6", [0, 2]),
+        ("0 1 0.5\n1 2 0.5\n0 2 0.5\n3 4 0.5\n4 5 0.5\n3 5 0.5", [0, 1, 4]),
+    )
+
+    @pytest.mark.parametrize("text, terms", CASES)
+    def test_reliability_is_zero(self, text, terms):
+        g = parse_graph(text, require_connected=False)
+        t = TerminalSet.of(terms)
+        ref = brute_force_reliability(g, t).reliability
+        ref_exact = brute_force_reliability(g, t, exact=True).reliability
+        assert ref == 0.0 and ref_exact == 0
+        for w in (2, None):
+            res = estimate_pipeline(g, t, s=100, w=w, seed=0)
+            assert res.estimate == ref and res.exact
+            res = estimate_pipeline(g, t, s=100, w=w, seed=0, precision="exact")
+            assert res.estimate == ref and res.exact
+            assert Fraction(res.raw["estimate"]) == ref_exact
+        assert exact_pipeline(g, t) == ref
+        assert exact_pipeline(g, t, precision="exact") == ref_exact
 
 
 class TestPlainSampling:
@@ -110,17 +137,27 @@ class TestPlainSampling:
         assert res.estimate == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("copies, p, expected", [
-        (3, 0.9, 0.9871760769316794),
+        (3, 0.9, 1.0),
         (60, 0.5, 1.0),
     ])
-    def test_ht_variance_clamped_at_zero(self, copies, p, expected):
+    def test_ht_variance_clamped_at_zero(self, copies, p, expected, monkeypatch):
         # the simplified HT correction overshoots on parallel edges (about
-        # -19.8 and -3.7e-35 unclamped); the estimate must not move
+        # -18.75 and -3.7e-35 unclamped at seed 0); the reported variance is
+        # clamped at 0 and the estimate must not move
+        unclamped = []
+        real = estimators.ht_variance
+
+        def spy(*args):
+            unclamped.append(real(*args))
+            return unclamped[-1]
+
+        monkeypatch.setattr(estimators, "ht_variance", spy)
         g = parse_graph("\n".join([f"0 1 {p}"] * copies))
         res = plain_sample_estimate(g, TerminalSet.of([0, 1]), s=100,
                                     estimator="ht", seed=0)
         assert res.estimate == expected
-        assert res.variance >= 0.0
+        assert unclamped and unclamped[0] < 0.0
+        assert res.variance == 0.0
 
     def test_ht_with_realizations_that_underflow_to_zero(self):
         # every realization of 1100 parallel edges has mass 2^-1100, which
