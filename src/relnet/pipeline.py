@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .graph import TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig, to_fraction
-from .reduction import Decomposition, preprocess
+from .reduction import preprocess, undecomposed
 
 
 @dataclass
@@ -118,13 +118,7 @@ def estimate_pipeline(
     """Full pipeline: preprocess, construct per part, combine by product."""
     t0 = time.perf_counter()
     exact_mode = precision == "exact"
-    if use_preprocess:
-        deco = preprocess(g, terminals)
-    else:
-        one = Fraction(1) if g.exact_probs is not None else None
-        deco = Decomposition(
-            bridge_factor=1.0, bridge_factor_exact=one, parts=((g, terminals),)
-        )
+    deco = preprocess(g, terminals) if use_preprocess else undecomposed(g, terminals)
     t_pre = time.perf_counter() - t0
 
     budgets = split_budget(s, [pg.m for pg, _ in deco.parts])

@@ -427,6 +427,20 @@ def transform(
 # Full pipeline
 # ---------------------------------------------------------------------------
 
+def undecomposed(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
+    """The unreduced problem as its only part, with bridge factor 1.
+
+    Terminals in different components give reliability 0 and no parts.
+    """
+    if not terminals_connected(g, (1 << g.m) - 1, terminals):
+        zero = Fraction(0) if g.exact_probs is not None else None
+        return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
+    one = Fraction(1) if g.exact_probs is not None else None
+    return Decomposition(
+        bridge_factor=1.0, bridge_factor_exact=one, parts=((g, terminals),)
+    )
+
+
 def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     """Prune, re-index, decompose, transform, to a fixpoint.
 
@@ -436,9 +450,9 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     terminates.  Terminals in different components give reliability 0 and
     no parts.
     """
-    if not terminals_connected(g, (1 << g.m) - 1, terminals):
-        zero = Fraction(0) if g.exact_probs is not None else None
-        return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
+    whole = undecomposed(g, terminals)
+    if not whole.parts:
+        return whole
     pb = 1.0
     pb_exact = Fraction(1)
     any_exact = g.exact_probs is not None

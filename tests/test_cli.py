@@ -85,6 +85,13 @@ class TestEstimate:
         assert set(rows[0]) == {"layer", "width", "p_c", "p_d",
                                 "deleted_mass", "samples_drawn"}
 
+    def test_trace_with_no_bdd_is_usage_error(self, grid_file, tmp_path):
+        # the plain baseline has no layers, so there is nothing to trace
+        trace, out = tmp_path / "trace.csv", tmp_path / "r.json"
+        assert run(["estimate", "--graph", str(grid_file), "--terminals", "0,8",
+                    "--no-bdd", "--trace", str(trace), "--output", str(out)]) == 2
+        assert not trace.exists() and not out.exists()
+
     def test_timings_flag_adds_section(self, path_graph_file, tmp_path):
         out = tmp_path / "rep.json"
         assert run(["estimate", "--graph", str(path_graph_file),

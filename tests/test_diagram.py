@@ -1,4 +1,6 @@
 import json
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
@@ -22,9 +24,16 @@ from relnet.diagram import (
     split_layer,
     stratum_quotient,
 )
+from relnet import rng as rngmod
 from relnet.estimators import Bounds, StratumDraw, ht_estimate
 from relnet.exact import brute_force_reliability
-from relnet.graph import TerminalSet, assignment_probability, parse_graph, terminals_connected
+from relnet.graph import (
+    TerminalSet,
+    assignment_probability,
+    parse_graph,
+    sample_possible_graph,
+    terminals_connected,
+)
 from relnet.generate import grid_graph, random_terminals, tree_rich_graph
 from conftest import naive_reliability, small_case
 
@@ -393,6 +402,73 @@ class TestStratumQuotient:
             assert naive_reliability(quotient, qterms) == pytest.approx(
                 naive_reliability(g, t), abs=1e-12
             )
+
+
+def _reference_stratum(g, eo, layer, t, nodes, draws, seed, kind):
+    """Draw a stratum by sampling each hit node's quotient graph.
+
+    Returns (successes, HT outcome records), drawn from the stream the
+    sampler uses: a node picked by bisecting the cumulative masses, then a
+    possible graph of its quotient, its connectivity and its probability.
+    """
+    rng = rngmod.stream(seed, "layer", layer, kind)
+    masses = [float(nd.p) for nd in nodes]
+    cum = list(accumulate(masses))
+    total = cum[-1]
+    quotients = {}
+    successes = 0
+    outcomes = []
+    for _ in range(draws):
+        i = min(bisect_right(cum, rng.random() * total), len(nodes) - 1)
+        if i not in quotients:
+            quotients[i] = stratum_quotient(g, eo, layer, nodes[i], t)
+        quotient, qterms = quotients[i]
+        mask = sample_possible_graph(quotient, rng)
+        ok = terminals_connected(quotient, mask, qterms)
+        successes += ok
+        q = (masses[i] / total) * assignment_probability(quotient, mask)
+        outcomes.append(((i, mask), q, ok))
+    return successes, outcomes
+
+
+class TestSamplerMatchesQuotientSampling:
+    """The suffix sampler draws exactly what sampling the quotients draws."""
+
+    @staticmethod
+    def _check(g, t, eo, layer, kind, nodes, mass, draws, seed):
+        successes, outcomes = _reference_stratum(
+            g, eo, layer, t, nodes, draws, seed, kind
+        )
+        mc = sample_group_stratum(g, eo, layer, t, nodes, mass, draws,
+                                  seed=seed, kind=kind)
+        ht = sample_group_stratum(g, eo, layer, t, nodes, mass, draws,
+                                  seed=seed, kind=kind, want_outcomes=True)
+        assert mc.successes == ht.successes == successes
+        assert ht.outcomes == outcomes
+
+    def _check_build_and_root(self, g, t, w, s, seed):
+        build = _build(g, g.exact_probs, t, w, s, "double", None)
+        for layer, kind, nodes, mass, draws in build.strata:
+            self._check(g, t, build.eo, layer, kind, nodes, mass, draws, seed)
+        self._check(g, t, build.eo, 0, "deleted", [ROOT], 1.0, 300, seed)
+        return len(build.strata)
+
+    def test_small_cases(self):
+        strata = 0
+        for seed in range(60):
+            g, t = small_case(seed)
+            for w in (1, 2, 4, 16):
+                strata += self._check_build_and_root(g, t, w, 200, seed)
+        assert strata > 300
+
+    def test_karate(self, karate_graph):
+        t = TerminalSet.of([6, 7, 9, 18, 27])
+        assert self._check_build_and_root(karate_graph, t, 100, 10000, 0) > 0
+
+    def test_grid(self):
+        g = grid_graph(10, 10, seed=0)
+        t = TerminalSet.of([0, 55, 99])
+        assert self._check_build_and_root(g, t, 100, 10000, 1) > 0
 
 
 def _conditional_reliability(g, eo, t, decided):

@@ -109,6 +109,18 @@ class TestDisconnectedTerminals:
         assert exact_pipeline(g, t) == ref
         assert exact_pipeline(g, t, precision="exact") == ref_exact
 
+    def test_reads_zero_without_preprocessing(self):
+        g = parse_graph(self.CASES[0][0], require_connected=False)
+        t = TerminalSet.of(self.CASES[0][1])
+        for w in (2, None):
+            for precision in ("double", "exact"):
+                res = estimate_pipeline(g, t, s=100, w=w, seed=0, precision=precision,
+                                        use_preprocess=False)
+                assert res.estimate == 0.0 and res.exact and not res.parts
+                assert res.p_c == 0.0 and res.p_d == 1.0
+                if precision == "exact":
+                    assert res.raw == {"bridge_factor": "0", "estimate": "0"}
+
 
 class TestPlainSampling:
     def test_mc_is_mean_indicator(self):
