@@ -45,7 +45,6 @@ from .reduction import (
     build_structure_index,
     decompose,
     preprocess,
-    prune,
     transform,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "parse_graph",
     "plain_sample_estimate",
     "preprocess",
-    "prune",
     "reduced_sample_count",
     "sample_possible_graph",
     "stratified_mc_variance",

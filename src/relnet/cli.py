@@ -55,6 +55,18 @@ class UsageError(ValueError):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an int, where a value below ``low`` is a usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relnet",
@@ -84,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--no-preprocess", action="store_true")
     est.add_argument("--trace", help="write per-layer CSV trace here")
     est.add_argument("--timings", action="store_true", help="include timings in report")
-    est.add_argument("--width-cap", type=int, default=1_000_000)
+    est.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
 
     exa = sub.add_parser("exact", help="exact reliability")
     add_io(exa)
-    exa.add_argument("--brute-cap", type=int, default=DEFAULT_EDGE_CAP)
-    exa.add_argument("--width-cap", type=int, default=1_000_000)
+    exa.add_argument("--brute-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP)
+    exa.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
     exa.add_argument("--precision", choices=("double", "exact"), default="double")
     exa.add_argument("--method", choices=("auto", "brute", "diagram"), default="auto")
     exa.add_argument("--timings", action="store_true")
@@ -119,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--s", type=int, default=1000)
     ben.add_argument("--w", type=int, default=1000)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--width-cap", type=int, default=1_000_000)
+    ben.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
     ben.add_argument("--no-exact", action="store_true",
                      help="skip exact references (error rates omitted)")
     ben.add_argument("--timings", action="store_true")

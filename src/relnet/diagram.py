@@ -80,16 +80,14 @@ class EdgeOrder:
         return max((len(f) for f in self.frontiers), default=0)
 
 
-def order_edges(
-    g: UncertainGraph, terminals: Optional[TerminalSet] = None
-) -> EdgeOrder:
-    """Default ordering: breadth-first from a terminal.
+def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
+    """Default ordering: breadth-first from the smallest terminal.
 
     Edges are emitted when their first endpoint is dequeued, which keeps the
     frontier narrow on path-like and planar-like graphs.
     """
     m = g.m
-    start = min(terminals.vertices) if terminals is not None else 0
+    start = min(terminals.vertices)
     emitted = [False] * m
     order: list[int] = []
     visited = [False] * g.n

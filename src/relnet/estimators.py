@@ -305,18 +305,18 @@ class EstimateReport:
                 f"estimate {self.estimate} outside [{lo}, {hi}]"
             )
 
-    def to_dict(self, *, include_timings: bool = False, digits: int = 12) -> dict:
+    def to_dict(self, *, include_timings: bool = False) -> dict:
         out = {
-            "estimate": round_sig(self.estimate, digits),
-            "p_c": round_sig(self.bounds.p_c, digits),
-            "p_d": round_sig(self.bounds.p_d, digits),
+            "estimate": round_sig(self.estimate),
+            "p_c": round_sig(self.bounds.p_c),
+            "p_d": round_sig(self.bounds.p_d),
             "s": self.budget.requested,
             "s_reduced": self.budget.reduced,
             "samples_used": self.samples_used,
-            "variance": round_sig(self.variance, digits),
+            "variance": round_sig(self.variance),
             "estimator": self.estimator,
             "exact": self.exact,
-            "unsampled_mass": round_sig(self.unsampled_mass, digits),
+            "unsampled_mass": round_sig(self.unsampled_mass),
             "layers": self.layers,
             "max_width": self.max_width,
         }

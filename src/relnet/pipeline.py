@@ -53,21 +53,21 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
     raw: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self, *, include_timings: bool = False, digits: int = 12) -> dict:
+    def to_dict(self, *, include_timings: bool = False) -> dict:
         out = {
-            "estimate": round_sig(self.estimate, digits),
-            "bridge_factor": round_sig(self.bridge_factor, digits),
-            "p_c": round_sig(self.p_c, digits),
-            "p_d": round_sig(self.p_d, digits),
+            "estimate": round_sig(self.estimate),
+            "bridge_factor": round_sig(self.bridge_factor),
+            "p_c": round_sig(self.p_c),
+            "p_d": round_sig(self.p_d),
             "s": self.s,
             "s_reduced": self.s_reduced,
             "samples_used": self.samples_used,
-            "variance": round_sig(self.variance, digits),
+            "variance": round_sig(self.variance),
             "estimator": self.estimator,
             "exact": self.exact,
             "preprocessed": self.preprocessed,
             "parts": [
-                dict(p.to_dict(include_timings=include_timings, digits=digits),
+                dict(p.to_dict(include_timings=include_timings),
                      n=shape[0], m=shape[1])
                 for p, shape in zip(self.parts, self.part_shapes)
             ],

@@ -1,33 +1,31 @@
 """Reliability-preserving preprocessing.
 
-Three rewrites shrink the problem before estimation, none of which change
+Two rewrites shrink the problem before estimation, neither of which changes
 the k-terminal reliability:
 
-* prune:     drop everything outside the minimal bridge-tree subtree that
-             spans the terminals;
-* decompose: factor on bridges, splitting the graph into independent parts
-             whose reliabilities multiply (times the bridge probabilities);
+* decompose: drop every bridge that does not separate terminals, with all
+             that lies beyond it, and factor on the rest, splitting the graph
+             into independent parts whose reliabilities multiply (times the
+             kept bridges' probabilities);
 * transform: collapse series chains, parallel edges, and self-loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import GraphInvariantError, TerminalSet, UncertainGraph, terminals_connected
-from .numerics import to_fraction
+from .graph import TerminalSet, UncertainGraph, _find, terminals_connected
 
 
 @dataclass(frozen=True)
 class StructureIndex:
-    """Bridges, their endpoints, and nontrivial 2-edge-connected components."""
+    """Bridges and the 2-edge-connected component of every vertex."""
 
     bridges: frozenset[int]  # edge indices
-    articulation_points: frozenset[int]  # bridge endpoints
-    components: tuple[frozenset[int], ...]  # vertex sets, size >= 2
-    component_of: tuple[int, ...]  # vertex -> component id (own singleton id if trivial)
+    component_of: tuple[int, ...]  # vertex -> smallest vertex of its component
 
 
 def build_structure_index(g: UncertainGraph) -> StructureIndex:
@@ -75,138 +73,14 @@ def build_structure_index(g: UncertainGraph) -> StructureIndex:
     bridge_set = frozenset(bridges)
     # 2ECC = connected components after deleting bridges
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for j, (u, v) in enumerate(g.edges):
-        if j not in bridge_set and u != v:
-            ru, rv = find(u), find(v)
+        if j not in bridge_set:
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[rv] = ru
-
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    nontrivial = [vs for vs in groups.values() if len(vs) >= 2]
-    nontrivial.sort(key=min)
-    comp_of = list(range(n))
-    for cid, vs in enumerate(nontrivial):
-        for v in vs:
-            comp_of[v] = n + cid  # ids above n mark nontrivial membership
-
-    arts = set()
-    for j in bridge_set:
-        u, v = g.edges[j]
-        arts.add(u)
-        arts.add(v)
-    return StructureIndex(
-        bridges=bridge_set,
-        articulation_points=frozenset(arts),
-        components=tuple(frozenset(vs) for vs in nontrivial),
-        component_of=tuple(comp_of),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Prune
-# ---------------------------------------------------------------------------
-
-def prune(
-    g: UncertainGraph, terminals: TerminalSet, index: Optional[StructureIndex] = None
-) -> tuple[UncertainGraph, TerminalSet]:
-    """Remove structure that cannot affect terminal connectivity.
-
-    The graph condenses to a tree: one vertex per nontrivial 2-edge-connected
-    component, one per remaining vertex, with bridge endpoints inside a
-    component attached to it as separate tree vertices.  Everything outside
-    the minimal subtree spanning the terminals is deleted; vertex ids are
-    re-densified.
-    """
-    terminals.validate(g)
-    if index is None:
-        index = build_structure_index(g)
-
-    n = g.n
-    # tree vertices: 0..n-1 are original vertices, n+cid are components
-    adj: dict[int, set[int]] = {}
-
-    def touch(x: int) -> None:
-        adj.setdefault(x, set())
-
-    comp_of = index.component_of
-    for v in range(n):
-        touch(comp_of[v]) if comp_of[v] >= n else touch(v)
-    for v in index.articulation_points:
-        if comp_of[v] >= n:
-            touch(v)
-            adj[v].add(comp_of[v])
-            adj[comp_of[v]].add(v)
-    for j in index.bridges:
-        u, v = g.edges[j]
-        # bridge endpoints stand for themselves in the tree
-        touch(u)
-        touch(v)
-        adj[u].add(v)
-        adj[v].add(u)
-
-    tree_terminals = set()
-    for t in terminals.vertices:
-        if comp_of[t] >= n and t not in index.articulation_points:
-            tree_terminals.add(comp_of[t])
-        else:
-            tree_terminals.add(t)
-
-    # trim non-terminal leaves until only the spanning subtree remains
-    degree = {x: len(ys) for x, ys in adj.items()}
-    leaves = [x for x, dg in degree.items() if dg <= 1 and x not in tree_terminals]
-    removed = set()
-    while leaves:
-        x = leaves.pop()
-        if x in removed:
-            continue
-        removed.add(x)
-        for y in adj[x]:
-            if y in removed:
-                continue
-            degree[y] -= 1
-            if degree[y] <= 1 and y not in tree_terminals:
-                leaves.append(y)
-
-    keep_vertices = set()
-    for x in adj:
-        if x in removed:
-            continue
-        if x >= n:
-            keep_vertices.update(index.components[x - n])
-        else:
-            keep_vertices.add(x)
-
-    if len(keep_vertices) == g.n:
-        return g, terminals
-
-    remap = {v: i for i, v in enumerate(sorted(keep_vertices))}
-    edges: list[tuple[int, int]] = []
-    probs: list[float] = []
-    exacts: list[Fraction] = []
-    has_exact = g.exact_probs is not None
-    for j, (u, v) in enumerate(g.edges):
-        if u in remap and v in remap:
-            edges.append((remap[u], remap[v]))
-            probs.append(g.probs[j])
-            if has_exact:
-                exacts.append(g.exact_probs[j])
-    pruned = UncertainGraph(
-        n=len(remap),
-        edges=tuple(edges),
-        probs=tuple(probs),
-        exact_probs=tuple(exacts) if has_exact else None,
-    )
-    new_terms = TerminalSet.of(remap[t] for t in terminals.vertices)
-    return pruned, new_terms
+    smallest: dict[int, int] = {}  # root -> its smallest vertex, the first seen
+    component_of = tuple(smallest.setdefault(_find(parent, v), v) for v in range(n))
+    return StructureIndex(bridges=bridge_set, component_of=component_of)
 
 
 # ---------------------------------------------------------------------------
@@ -226,97 +100,88 @@ class Decomposition:
     parts: tuple[tuple[UncertainGraph, TerminalSet], ...]
 
 
-def decompose(
-    g: UncertainGraph, terminals: TerminalSet, index: Optional[StructureIndex] = None
-) -> Decomposition:
-    """Factor on every bridge.
+def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
+    """Prune to the terminals and factor on every bridge that separates them.
 
-    Requires a pruned input (every bridge on a terminal-connecting path);
-    a leaf part without an original terminal signals a skipped prune.
+    The 2-edge-connected components, joined by the bridges, form a forest:
+    the bridge tree.  Trimming its terminal-free leaves until none is left
+    keeps exactly the bridges with terminals on both sides; any other bridge,
+    and everything beyond it, cannot affect terminal connectivity.  Every
+    kept bridge must be up, so its probability joins the bridge factor
+    (multiplied in ascending edge index) and its endpoints become terminals
+    of their components.  A component with at least two terminals is a
+    part: vertices renumbered in ascending order, edges in input order.  A
+    component with fewer is connected with probability 1.
+
+    Parts come ordered by smallest original vertex, then stably by
+    descending edge count.  The terminals must lie in one component of
+    ``g``; ``preprocess`` checks that first.
     """
     terminals.validate(g)
-    if index is None:
-        index = build_structure_index(g)
-    bridges = index.bridges
+    index = build_structure_index(g)
+    comp = index.component_of
+    bridges = sorted(index.bridges)
 
-    pb_exact = Fraction(1)
-    has_exact = g.exact_probs is not None
-    pb = 1.0
-    for j in bridges:
-        pb *= g.probs[j]
-        pb_exact *= g.exact_probs[j] if has_exact else to_fraction(g.probs[j])
-
-    # split on bridges
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, (u, v) in enumerate(g.edges):
-        if j not in bridges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    part_vertices = sorted(groups.values(), key=min)
-    part_id = {}
-    for i, vs in enumerate(part_vertices):
-        for v in vs:
-            part_id[v] = i
-
-    incident_bridges = [0] * len(part_vertices)
-    part_terms: list[set[int]] = [set() for _ in part_vertices]
-    for t in terminals.vertices:
-        part_terms[part_id[t]].add(t)
+    tree: dict[int, list[int]] = {c: [] for c in comp}  # component -> bridges
     for j in bridges:
         u, v = g.edges[j]
-        incident_bridges[part_id[u]] += 1
-        incident_bridges[part_id[v]] += 1
-        part_terms[part_id[u]].add(u)
-        part_terms[part_id[v]].add(v)
+        tree[comp[u]].append(j)
+        tree[comp[v]].append(j)
+    holds_terminal = {comp[t] for t in terminals.vertices}
+    degree = {c: len(js) for c, js in tree.items()}
+    leaves = [c for c, d in degree.items() if d <= 1 and c not in holds_terminal]
+    trimmed: set[int] = set()
+    while leaves:
+        c = leaves.pop()
+        trimmed.add(c)
+        for j in tree[c]:
+            u, v = g.edges[j]
+            other = comp[v] if comp[u] == c else comp[u]
+            degree[other] -= 1
+            # degrees only fall, so each component is queued at most once
+            if degree[other] == 1 and other not in holds_terminal:
+                leaves.append(other)
+    kept = [
+        j for j in bridges
+        if comp[g.edges[j][0]] not in trimmed and comp[g.edges[j][1]] not in trimmed
+    ]
 
-    for i, vs in enumerate(part_vertices):
-        has_original = any(t in terminals.vertices for t in part_terms[i])
-        if bridges and incident_bridges[i] <= 1 and not has_original:
-            raise GraphInvariantError(
-                "bridge removal strands a terminal-free part; prune first"
-            )
+    part_terms: dict[int, set[int]] = {}
+    for t in terminals.vertices:
+        part_terms.setdefault(comp[t], set()).add(t)
+    for j in kept:
+        for x in g.edges[j]:
+            part_terms.setdefault(comp[x], set()).add(x)
+    # component ids are smallest vertices, so this orders parts by them
+    members: dict[int, list[int]] = {
+        c: [] for c in sorted(part_terms) if len(part_terms[c]) >= 2
+    }
+    for v in range(g.n):
+        if comp[v] in members:
+            members[comp[v]].append(v)
+    local = {v: i for vs in members.values() for i, v in enumerate(vs)}
+    part_edges: dict[int, list[int]] = {c: [] for c in members}
+    for j, (u, v) in enumerate(g.edges):
+        if j not in index.bridges and comp[u] in part_edges:
+            part_edges[comp[u]].append(j)
 
+    has_exact = g.exact_probs is not None
     parts: list[tuple[UncertainGraph, TerminalSet]] = []
-    for i, vs in enumerate(part_vertices):
-        terms = part_terms[i]
-        if len(terms) < 2:
-            continue  # single-terminal part is always reliable: factor 1
-        remap = {v: idx for idx, v in enumerate(sorted(vs))}
-        edges = []
-        probs = []
-        exacts = []
-        for j, (u, v) in enumerate(g.edges):
-            if j in bridges:
-                continue
-            if u in remap and v in remap:
-                edges.append((remap[u], remap[v]))
-                probs.append(g.probs[j])
-                if has_exact:
-                    exacts.append(g.exact_probs[j])
+    for c, js in part_edges.items():
         part_graph = UncertainGraph(
-            n=len(remap),
-            edges=tuple(edges),
-            probs=tuple(probs),
-            exact_probs=tuple(exacts) if has_exact else None,
+            n=len(members[c]),
+            edges=tuple((local[g.edges[j][0]], local[g.edges[j][1]]) for j in js),
+            probs=tuple(g.probs[j] for j in js),
+            exact_probs=tuple(g.exact_probs[j] for j in js) if has_exact else None,
         )
-        parts.append((part_graph, TerminalSet.of(remap[t] for t in terms)))
-
+        parts.append((part_graph, TerminalSet.of(local[t] for t in part_terms[c])))
     parts.sort(key=lambda pt: -pt[0].m)  # dominant cost first
     return Decomposition(
-        bridge_factor=pb,
-        bridge_factor_exact=pb_exact if has_exact else None,
+        bridge_factor=math.prod((g.probs[j] for j in kept), start=1.0),
+        bridge_factor_exact=(
+            math.prod((g.exact_probs[j] for j in kept), start=Fraction(1))
+            if has_exact else None
+        ),
         parts=tuple(parts),
     )
 
@@ -442,7 +307,7 @@ def undecomposed(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
 
 
 def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
-    """Prune, re-index, decompose, transform, to a fixpoint.
+    """Decompose, transform, to a fixpoint.
 
     Transforming a part can expose fresh bridges (a collapsed chain between
     two terminals, say), so any part whose edge count dropped goes through
@@ -454,20 +319,14 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     if not whole.parts:
         return whole
     pb = 1.0
-    pb_exact = Fraction(1)
-    any_exact = g.exact_probs is not None
+    pb_exact = Fraction(1) if g.exact_probs is not None else None
     final: list[tuple[UncertainGraph, TerminalSet]] = []
     work: list[tuple[UncertainGraph, TerminalSet]] = [(g, terminals)]
     while work:
-        wg, wt = work.pop()
-        pg, pt = prune(wg, wt)
-        # bridge status can change after pruning, so the index is rebuilt
-        deco = decompose(pg, pt, build_structure_index(pg))
+        deco = decompose(*work.pop())
         pb *= deco.bridge_factor
-        if deco.bridge_factor_exact is not None:
+        if pb_exact is not None:
             pb_exact *= deco.bridge_factor_exact
-        else:
-            pb_exact *= to_fraction(deco.bridge_factor)
         for part_g, part_t in deco.parts:
             tg, tt = transform(part_g, part_t)
             if tg.m < part_g.m:
@@ -476,7 +335,5 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
                 final.append((tg, tt))
     final.sort(key=lambda pt: -pt[0].m)
     return Decomposition(
-        bridge_factor=pb,
-        bridge_factor_exact=pb_exact if any_exact else None,
-        parts=tuple(final),
+        bridge_factor=pb, bridge_factor_exact=pb_exact, parts=tuple(final)
     )

@@ -280,6 +280,19 @@ class TestErrorPaths:
         for bad in (["--s", "0"], ["--s", "-3"], ["--w", "0"]):
             assert run(base + bad) == 2, bad
 
+    def test_nonsense_caps_are_usage_errors(self):
+        io = ["--graph", str(DATA_DIR / "karate.edges")]
+        terms = ["--terminals", "0,16,33"]
+        for argv in (
+            ["estimate", *io, *terms, "--width-cap", "0"],
+            ["estimate", *io, *terms, "--width-cap", "-5"],
+            ["exact", *io, *terms, "--method", "diagram", "--width-cap", "0"],
+            ["exact", *io, *terms, "--method", "brute", "--brute-cap", "-1"],
+            ["bench", *io, "--k", "2", "--q1", "1", "--q2", "1", "--s", "10",
+             "--no-exact", "--width-cap", "0"],
+        ):
+            assert run(argv) == 2, argv
+
     def test_brute_cap_is_resource_error(self, tmp_path):
         from relnet.generate import random_connected_graph
         from relnet.graph import write_graph

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from relnet.exact import brute_force_reliability
-from relnet.graph import GraphInvariantError, TerminalSet, UncertainGraph, parse_graph
+from relnet.graph import TerminalSet, UncertainGraph, parse_graph
 from relnet.generate import random_connected_graph, random_terminals
 from relnet.reduction import (
     build_structure_index,
     decompose,
     preprocess,
-    prune,
     transform,
 )
 from conftest import small_case
@@ -27,20 +26,18 @@ class TestStructureIndex:
         g = parse_graph("0 1 0.5\n1 2 0.5\n1 3 0.5")
         idx = build_structure_index(g)
         assert idx.bridges == frozenset({0, 1, 2})
-        assert idx.components == ()
+        assert idx.component_of == (0, 1, 2, 3)
 
     def test_cycle_no_bridges(self):
         g = parse_graph("0 1 0.5\n1 2 0.5\n2 0 0.5")
         idx = build_structure_index(g)
         assert idx.bridges == frozenset()
-        assert len(idx.components) == 1
-        assert idx.components[0] == frozenset({0, 1, 2})
+        assert idx.component_of == (0, 0, 0)
 
     def test_barbell(self):
         idx = build_structure_index(barbell())
-        assert len(idx.bridges) == 1
-        assert len(idx.components) == 2
-        assert idx.articulation_points == frozenset({2, 3})
+        assert idx.bridges == frozenset({3})  # edge 2-3
+        assert idx.component_of == (0, 0, 0, 3, 3, 3)
 
     def test_parallel_pair_is_not_a_bridge(self):
         g = parse_graph("0 1 0.5\n0 1 0.5\n1 2 0.5")
@@ -62,30 +59,42 @@ class TestStructureIndex:
                 assert (not sub.is_connected()) == (j in idx.bridges)
 
 
+def product(deco):
+    """Reliability of a decomposition, each part by enumeration."""
+    prod = deco.bridge_factor
+    for pg, pt in deco.parts:
+        prod *= brute_force_reliability(pg, pt).reliability
+    return prod
+
+
 class TestPrune:
+    # decompose drops every bridge without terminals on both sides, and
+    # everything beyond it
+
     def test_pendant_path_removed(self):
         g = parse_graph("0 1 0.5\n1 2 0.5\n2 3 0.5\n3 4 0.5")
-        pruned, terms = prune(g, TerminalSet.of([0, 2]))
-        assert pruned.m == 2
-        assert terms.k == 2
+        deco = decompose(g, TerminalSet.of([0, 2]))
+        assert deco.bridge_factor == 0.25  # two kept bridges of four
+        assert deco.parts == ()
 
     def test_all_vertices_terminal_unchanged(self):
         g = barbell()
-        pruned, terms = prune(g, TerminalSet.of(range(g.n)))
-        assert pruned.m == g.m
+        deco = decompose(g, TerminalSet.of(range(g.n)))
+        assert deco.bridge_factor == 0.6
+        assert [pg.m for pg, _ in deco.parts] == [3, 3]
+        assert [pt.k for _, pt in deco.parts] == [3, 3]
 
     def test_reliability_preserved(self):
         for seed in range(30):
             g, t = small_case(seed, max_edges=12)
             before = brute_force_reliability(g, t).reliability
-            pruned, pterms = prune(g, t)
-            after = brute_force_reliability(pruned, pterms).reliability
-            assert after == pytest.approx(before, abs=1e-9)
+            assert product(decompose(g, t)) == pytest.approx(before, abs=1e-9)
 
     def test_terminal_articulation_point_kept(self):
         g = parse_graph("0 1 0.5\n1 2 0.5")
-        pruned, terms = prune(g, TerminalSet.of([0, 1]))
-        assert pruned.m == 1
+        deco = decompose(g, TerminalSet.of([0, 1]))
+        assert deco.bridge_factor == 0.5
+        assert deco.parts == ()
 
 
 class TestDecompose:
@@ -111,16 +120,40 @@ class TestDecompose:
         deco = decompose(g, t)
         assert deco.bridge_factor == pytest.approx(0.6)
         assert len(deco.parts) == 2
-        prod = deco.bridge_factor
-        for pg, pt in deco.parts:
-            prod *= brute_force_reliability(pg, pt).reliability
-        assert prod == pytest.approx(brute_force_reliability(g, t).reliability, abs=1e-9)
+        assert product(deco) == pytest.approx(
+            brute_force_reliability(g, t).reliability, abs=1e-9
+        )
 
-    def test_unpruned_input_detected(self):
-        # pendant bridge to a terminal-free vertex
-        g = parse_graph("0 1 0.5\n1 2 0.5\n2 0 0.5\n2 3 0.5")
-        with pytest.raises(GraphInvariantError, match="prune"):
-            decompose(g, TerminalSet.of([0, 1]))
+    def test_unpruned_input_product_identity(self):
+        t = TerminalSet.of([0, 1])
+        for text in (
+            # pendant bridge to a terminal-free vertex
+            "0 1 0.5\n1 2 0.5\n2 0 0.5\n2 3 0.5",
+            # terminal-free triangle hung off a bridge
+            "0 1 0.5\n1 2 0.5\n2 0 0.5\n2 3 0.7\n3 4 0.5\n4 5 0.5\n5 3 0.5",
+        ):
+            g = parse_graph(text)
+            deco = decompose(g, t)
+            assert deco.bridge_factor == 1.0
+            assert [pg.m for pg, _ in deco.parts] == [3]
+            assert product(deco) == pytest.approx(
+                brute_force_reliability(g, t).reliability, abs=1e-12
+            )
+
+    def test_chains_with_pendant_triangles_product_identity(self):
+        from relnet.diagram import exact_reliability
+
+        multi_part = 0
+        for seed in range(12):
+            g, t = _chain_with_pendant_triangles(seed)
+            deco = decompose(g, t)
+            multi_part += len(deco.parts) >= 2
+            if g.m <= 20:
+                ref = brute_force_reliability(g, t).reliability
+            else:
+                ref = exact_reliability(g, t)
+            assert product(deco) == pytest.approx(ref, abs=1e-12), seed
+        assert multi_part >= 5
 
 
 class TestTransform:
@@ -184,11 +217,7 @@ class TestPreprocess:
         for seed in range(40):
             g, t = small_case(seed, max_edges=13)
             ref = brute_force_reliability(g, t).reliability
-            deco = preprocess(g, t)
-            prod = deco.bridge_factor
-            for pg, pt in deco.parts:
-                prod *= brute_force_reliability(pg, pt).reliability
-            assert prod == pytest.approx(ref, abs=1e-9)
+            assert product(preprocess(g, t)) == pytest.approx(ref, abs=1e-9)
 
     def test_idempotent(self):
         for seed in range(10):
@@ -267,3 +296,32 @@ def _decomposable_graph(seed):
     edges.append((3, 4))
     probs.append(round(rng.uniform(0.3, 0.9), 4))
     return UncertainGraph(n=8, edges=tuple(edges), probs=tuple(probs))
+
+
+def _chain_with_pendant_triangles(seed):
+    """2-4 random blocks in a chain of bridges, each block with a
+    terminal-free triangle hung off it by one more bridge."""
+    rng = random.Random(seed)
+    edges, probs, blocks = [], [], []
+    n = 0
+    for b in range(rng.randint(2, 4)):
+        size = rng.randint(3, 5)
+        block = random_connected_graph(
+            size, rng.randint(size, min(size + 2, size * (size - 1) // 2)), seed=seed * 10 + b
+        )
+        edges += [(u + n, v + n) for u, v in block.edges]
+        probs += block.probs
+        vertices = list(range(n, n + size))
+        if blocks:
+            edges.append((rng.choice(blocks[-1]), rng.choice(vertices)))
+            probs.append(round(rng.uniform(0.3, 0.95), 4))
+        blocks.append(vertices)
+        n += size
+    for vertices in blocks:
+        a, x, y, z = rng.choice(vertices), n, n + 1, n + 2
+        edges += [(a, x), (x, y), (y, z), (z, x)]
+        probs += [round(rng.uniform(0.3, 0.95), 4) for _ in range(4)]
+        n += 3
+    pool = [v for vertices in blocks for v in vertices]
+    terminals = TerminalSet.of(rng.sample(pool, rng.randint(2, 4)))
+    return UncertainGraph(n=n, edges=tuple(edges), probs=tuple(probs)), terminals
