@@ -18,8 +18,9 @@ node's components.  The final estimate combines the bounds with the
 per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
-(layers, bounds, deleted nodes, per-layer budgets) followed by a sampling
-pass over the strata it scheduled.  The most recent build is kept and reused.
+(layers, bounds, deleted nodes with their running mass sums, per-layer
+budgets) followed by a sampling pass over the strata it scheduled.  The most
+recent build is kept and reused.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -414,6 +416,7 @@ def sample_group_stratum(
     layer: int,
     terminals: TerminalSet,
     nodes: Sequence[Node],
+    cum: Sequence[float],
     mass: float,
     draws: int,
     *,
@@ -426,7 +429,9 @@ def sample_group_stratum(
     Each draw first picks a node with probability proportional to its mass
     (the group is one stratum; per-node masses are usually far too small to
     budget individually), then completes the node over the layer's undecided
-    suffix.  The suffix is mapped onto endpoint slots once per stratum; a
+    suffix.  ``cum`` holds the running float sums of the node masses, in
+    node order, as :func:`_build` stores them; the node is found by
+    bisecting it.  The suffix is mapped onto endpoint slots once per stratum; a
     node hit for the first time caches its union-find parents, kept edges
     and target slots, and each draw is one pass over the kept edges, one
     ``random()`` per edge, joining the endpoints of every edge drawn.  This
@@ -440,13 +445,7 @@ def sample_group_stratum(
     """
     rng = rngmod.stream(seed, "layer", layer, kind)
     rnd = rng.random
-    masses = [float(nd.p) for nd in nodes]
-    cum: list[float] = []
-    acc = 0.0
-    for x in masses:
-        acc += x
-        cum.append(acc)
-    total = acc
+    total = cum[-1]
     sfx = _suffix(g, eo, layer, terminals)
     cache: dict[int, tuple[list[int], list, list[int]]] = {}
     successes = 0
@@ -497,7 +496,7 @@ def sample_group_stratum(
         if ok:
             successes += 1
         if want_outcomes:
-            outcomes.append(((i, mask), (masses[i] / total) * q, ok))
+            outcomes.append(((i, mask), (float(nodes[i].p) / total) * q, ok))
     return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
 
 
@@ -588,23 +587,29 @@ def expand_layer(
     return list(nxt.values()), resident_mass
 
 
+_Stratum = tuple[int, str, tuple[Node, ...], tuple[float, ...], float, int]
+
+
 @dataclass(frozen=True)
 class _Build:
     """Everything a construction decides before its first draw.
 
     ``strata`` lists the node groups that get draws, as (layer, kind, nodes,
-    mass, draws); groups with no draws are already in ``residual``.  The
-    nodes are shared by every sampling pass and must not be mutated; ``rows``
-    are the trace rows, copied out to each caller.
+    cum, mass, draws), ``cum`` being the running float sums of the node
+    masses that :func:`sample_group_stratum` bisects; groups with no draws
+    are already in ``residual``.  ``reduced`` is the budget reduced by the
+    final bounds.  The nodes are shared by every sampling pass and must not
+    be mutated; ``rows`` are the trace rows, copied out to each caller.
     """
 
     eo: EdgeOrder
-    strata: tuple[tuple[int, str, tuple[Node, ...], float, int], ...]
+    strata: tuple[_Stratum, ...]
     p_c: Probability
     p_d: Probability
     bounds: Bounds
     residual: float
     drawn: int
+    reduced: int
     layers: int
     max_width: int
     rows: tuple[dict, ...]
@@ -640,7 +645,7 @@ def _build(
     p_d = _MassAccumulator(exact)
     one: Probability = Fraction(1) if exact else 1.0
     layer_nodes: list[Node] = [Node(one, (), ())]
-    strata: list[tuple[int, str, tuple[Node, ...], float, int]] = []
+    strata: list[_Stratum] = []
     rows: list[dict] = []
     unsampled_mass = KahanSum()
     drawn = 0
@@ -673,7 +678,8 @@ def _build(
             if mass > 0:
                 unsampled_mass.add(mass)
             return 0
-        strata.append((layer, kind, tuple(nodes), mass, draws))
+        cum = tuple(accumulate(float(nd.p) for nd in nodes))
+        strata.append((layer, kind, tuple(nodes), cum, mass, draws))
         drawn += draws
         return draws
 
@@ -738,6 +744,7 @@ def _build(
         bounds=current_bounds(),
         residual=residual,
         drawn=drawn,
+        reduced=s_prime,
         layers=layers_done,
         max_width=max_width,
         rows=tuple(rows),
@@ -770,19 +777,17 @@ def construct(
     want_outcomes = config.estimator == "ht"
     strata = [
         sample_group_stratum(
-            g, build.eo, layer, terminals, nodes, mass, draws,
+            g, build.eo, layer, terminals, nodes, cum, mass, draws,
             seed=config.seed, kind=kind, want_outcomes=want_outcomes,
         )
-        for layer, kind, nodes, mass, draws in build.strata
+        for layer, kind, nodes, cum, mass, draws in build.strata
     ]
 
     t_est = time.perf_counter()
     bounds = build.bounds
     residual = build.residual
     drawn = build.drawn
-    budget_final = SampleBudget(
-        requested=config.samples, reduced=reduced_sample_count(config.samples, bounds)
-    )
+    budget_final = SampleBudget(requested=config.samples, reduced=build.reduced)
     is_exact = bounds.undecided <= 1e-12 and not strata
     if is_exact:
         estimate = bounds.p_c

@@ -61,8 +61,8 @@ def clamp(x: Probability, lo: Probability, hi: Probability) -> Probability:
     return x
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a number of significant digits for stable report output."""
+def round_sig(x: float) -> float:
+    """Round to 12 significant digits for stable report output."""
     if x == 0.0:
         return 0.0
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")

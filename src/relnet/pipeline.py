@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import rng as rngmod
@@ -32,7 +33,7 @@ from .estimators import (
 )
 from .graph import TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig, to_fraction
-from .reduction import preprocess, undecomposed
+from .reduction import Decomposition, preprocess, undecomposed
 
 
 @dataclass
@@ -102,6 +103,24 @@ def split_budget(total: int, weights: list[int]) -> list[int]:
     return alloc
 
 
+@lru_cache(maxsize=1)
+def _decomposition(
+    g: UncertainGraph,
+    exact_probs: Optional[tuple[Fraction, ...]],
+    terminals: TerminalSet,
+    use_preprocess: bool,
+) -> Decomposition:
+    """The seed-free first step of :func:`estimate_pipeline`, reused.
+
+    ``exact_probs`` is part of the key because graph equality ignores it
+    while the exact bridge factor and the part graphs read it.  The result
+    is frozen and holds only tuples, so calls share it.
+    """
+    # a miss: drop the previous decomposition now, so at most one is alive
+    _decomposition.cache_clear()
+    return preprocess(g, terminals) if use_preprocess else undecomposed(g, terminals)
+
+
 def estimate_pipeline(
     g: UncertainGraph,
     terminals: TerminalSet,
@@ -115,10 +134,14 @@ def estimate_pipeline(
     width_cap: Optional[int] = 1_000_000,
     trace: Optional[list] = None,
 ) -> PipelineResult:
-    """Full pipeline: preprocess, construct per part, combine by product."""
+    """Full pipeline: preprocess, construct per part, combine by product.
+
+    The most recent decomposition is reused when only the seed, the
+    estimator or the budgets change.
+    """
     t0 = time.perf_counter()
     exact_mode = precision == "exact"
-    deco = preprocess(g, terminals) if use_preprocess else undecomposed(g, terminals)
+    deco = _decomposition(g, g.exact_probs, terminals, use_preprocess)
     t_pre = time.perf_counter() - t0
 
     budgets = split_budget(s, [pg.m for pg, _ in deco.parts])
@@ -250,7 +273,8 @@ def plain_sample_estimate(
     strata = [
         sample_group_stratum(
             g, order_edges(g, terminals), 0, terminals, [Node(1.0, (), ())],
-            1.0, s, seed=seed, kind="deleted", want_outcomes=estimator == "ht",
+            (1.0,), 1.0, s, seed=seed, kind="deleted",
+            want_outcomes=estimator == "ht",
         )
     ]
     bounds = Bounds(0.0, 0.0)

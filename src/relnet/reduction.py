@@ -100,6 +100,12 @@ class Decomposition:
     parts: tuple[tuple[UncertainGraph, TerminalSet], ...]
 
 
+def _unreliable(g: UncertainGraph) -> Decomposition:
+    """Reliability 0 and no parts: the terminals lie in different components."""
+    zero = Fraction(0) if g.exact_probs is not None else None
+    return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
+
+
 def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     """Prune to the terminals and factor on every bridge that separates them.
 
@@ -114,8 +120,9 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     component with fewer is connected with probability 1.
 
     Parts come ordered by smallest original vertex, then stably by
-    descending edge count.  The terminals must lie in one component of
-    ``g``; ``preprocess`` checks that first.
+    descending edge count.  Terminals in different components of ``g``
+    give reliability 0 and no parts: the trimmed bridge forest then keeps
+    more than one tree.
     """
     terminals.validate(g)
     index = build_structure_index(g)
@@ -145,6 +152,10 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
         j for j in bridges
         if comp[g.edges[j][0]] not in trimmed and comp[g.edges[j][1]] not in trimmed
     ]
+    # the kept groups and bridges form a forest in which every tree holds a
+    # terminal; it has one tree per kept group, less one per kept bridge
+    if len(tree) - len(trimmed) - len(kept) > 1:
+        return _unreliable(g)
 
     part_terms: dict[int, set[int]] = {}
     for t in terminals.vertices:
@@ -298,8 +309,7 @@ def undecomposed(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     Terminals in different components give reliability 0 and no parts.
     """
     if not terminals_connected(g, (1 << g.m) - 1, terminals):
-        zero = Fraction(0) if g.exact_probs is not None else None
-        return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
+        return _unreliable(g)
     one = Fraction(1) if g.exact_probs is not None else None
     return Decomposition(
         bridge_factor=1.0, bridge_factor_exact=one, parts=((g, terminals),)
@@ -313,11 +323,8 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     two terminals, say), so any part whose edge count dropped goes through
     another round.  Each round strictly shrinks re-queued parts, so the loop
     terminates.  Terminals in different components give reliability 0 and
-    no parts.
+    no parts, as the first round finds.
     """
-    whole = undecomposed(g, terminals)
-    if not whole.parts:
-        return whole
     pb = 1.0
     pb_exact = Fraction(1) if g.exact_probs is not None else None
     final: list[tuple[UncertainGraph, TerminalSet]] = []

@@ -25,7 +25,12 @@ from relnet.diagram import (
     stratum_quotient,
 )
 from relnet import rng as rngmod
-from relnet.estimators import Bounds, StratumDraw, ht_estimate
+from relnet.estimators import (
+    Bounds,
+    StratumDraw,
+    ht_estimate,
+    reduced_sample_count,
+)
 from relnet.exact import brute_force_reliability
 from relnet.graph import (
     TerminalSet,
@@ -350,8 +355,9 @@ class TestDeleteAndSample:
         assert len(nodes) >= 2
         survivors, deleted = split_layer(nodes, 1, t.k, rem)
         mass = sum(float(nd.p) for nd in deleted)
+        cum = tuple(accumulate(float(nd.p) for nd in deleted))
         stratum = sample_group_stratum(
-            g, eo, layer, t, deleted, mass, 30, seed=0, kind="deleted"
+            g, eo, layer, t, deleted, cum, mass, 30, seed=0, kind="deleted"
         )
         assert len(survivors) == 1
         assert stratum.draws == 30
@@ -435,22 +441,22 @@ class TestSamplerMatchesQuotientSampling:
     """The suffix sampler draws exactly what sampling the quotients draws."""
 
     @staticmethod
-    def _check(g, t, eo, layer, kind, nodes, mass, draws, seed):
+    def _check(g, t, eo, layer, kind, nodes, cum, mass, draws, seed):
         successes, outcomes = _reference_stratum(
             g, eo, layer, t, nodes, draws, seed, kind
         )
-        mc = sample_group_stratum(g, eo, layer, t, nodes, mass, draws,
+        mc = sample_group_stratum(g, eo, layer, t, nodes, cum, mass, draws,
                                   seed=seed, kind=kind)
-        ht = sample_group_stratum(g, eo, layer, t, nodes, mass, draws,
+        ht = sample_group_stratum(g, eo, layer, t, nodes, cum, mass, draws,
                                   seed=seed, kind=kind, want_outcomes=True)
         assert mc.successes == ht.successes == successes
         assert ht.outcomes == outcomes
 
     def _check_build_and_root(self, g, t, w, s, seed):
         build = _build(g, g.exact_probs, t, w, s, "double", None)
-        for layer, kind, nodes, mass, draws in build.strata:
-            self._check(g, t, build.eo, layer, kind, nodes, mass, draws, seed)
-        self._check(g, t, build.eo, 0, "deleted", [ROOT], 1.0, 300, seed)
+        for layer, kind, nodes, cum, mass, draws in build.strata:
+            self._check(g, t, build.eo, layer, kind, nodes, cum, mass, draws, seed)
+        self._check(g, t, build.eo, 0, "deleted", [ROOT], (1.0,), 1.0, 300, seed)
         return len(build.strata)
 
     def test_small_cases(self):
@@ -657,8 +663,10 @@ class TestConstruct:
             for w in (1, 2, 4, 16):
                 for s in (20, 200):
                     build = _build(g, g.exact_probs, t, w, s, "double", None)
+                    # the stored budget is the final bounds' reduction
+                    assert build.reduced == reduced_sample_count(s, build.bounds)
                     expected = build.p_c + 0.5 * build.residual
-                    for layer, _kind, nodes, mass, _draws in build.strata:
+                    for layer, _kind, nodes, _cum, mass, _draws in build.strata:
                         total = sum(float(nd.p) for nd in nodes)
                         mean = sum(
                             float(nd.p) / total * naive_reliability(
@@ -685,11 +693,11 @@ class TestConstruct:
             g, t = small_case(seed)
             for w in (1, 2, 4):
                 build = _build(g, g.exact_probs, t, w, 200, "double", None)
-                for layer, kind, nodes, mass, draws in build.strata:
+                for layer, kind, nodes, cum, mass, draws in build.strata:
                     if mass > 0.5:
                         continue
                     masses = [float(nd.p) for nd in nodes]
-                    total = 0.0  # summed in order, as the sampler sums
+                    total = 0.0  # summed in order, as the build sums
                     for x in masses:
                         total += x
                     table = []
@@ -722,7 +730,7 @@ class TestConstruct:
                         assert mean == pytest.approx(expected, abs=1e-12)
                         pairs_seen += 1
                     drawn = sample_group_stratum(
-                        g, build.eo, layer, t, nodes, mass, draws,
+                        g, build.eo, layer, t, nodes, cum, mass, draws,
                         seed=seed, kind=kind, want_outcomes=True,
                     )
                     rows = set(table)

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from relnet import estimators
-from relnet.diagram import exact_reliability
+from relnet import estimators, pipeline
+from relnet.diagram import _build, exact_reliability
 from relnet.exact import brute_force_reliability
 from relnet.pipeline import (
+    _decomposition,
     estimate_pipeline,
     exact_pipeline,
     plain_sample_estimate,
     split_budget,
 )
 from relnet.generate import random_connected_graph, random_terminals
-from relnet.graph import TerminalSet, parse_graph
+from relnet.graph import TerminalSet, UncertainGraph, parse_graph
 from conftest import small_case
 
 
@@ -69,6 +70,91 @@ class TestEstimatePipeline:
             g, t = small_case(seed, max_edges=12)
             res = estimate_pipeline(g, t, s=100, w=1, seed=seed)
             assert res.samples_used <= 100
+
+
+class TestDecompositionReuse:
+    KARATE_TERMINALS = TerminalSet.of([6, 7, 9, 18, 27])
+
+    @staticmethod
+    def _count_preprocess(monkeypatch):
+        calls = []
+        real = pipeline.preprocess
+
+        def counting(g, terminals):
+            calls.append(g)
+            return real(g, terminals)
+
+        monkeypatch.setattr(pipeline, "preprocess", counting)
+        _decomposition.cache_clear()
+        return calls
+
+    def test_same_input_preprocesses_once(self, karate_graph, monkeypatch):
+        calls = self._count_preprocess(monkeypatch)
+        t = self.KARATE_TERMINALS
+        for seed in (1, 2):
+            estimate_pipeline(karate_graph, t, s=500, w=50, seed=seed)
+        assert len(calls) == 1
+        other = random_connected_graph(12, 20, seed=3)
+        other_t = random_terminals(other, 3, seed=3)
+        for g, terminals in ((other, other_t), (karate_graph, t)):
+            estimate_pipeline(g, terminals, s=500, w=50, seed=3)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("estimator, precision", [
+        ("mc", "double"), ("ht", "double"), ("mc", "exact"),
+    ])
+    def test_reused_call_matches_a_fresh_one(self, karate_graph, estimator,
+                                             precision):
+        t = self.KARATE_TERMINALS
+
+        def call(seed):
+            rows = []
+            res = estimate_pipeline(karate_graph, t, s=2000, w=100, seed=seed,
+                                    estimator=estimator, precision=precision,
+                                    trace=rows)
+            return res.to_dict(), rows
+
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        call(1)
+        reused = call(2)
+        assert _decomposition.cache_info().hits == _build.cache_info().hits == 1
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        fresh = call(2)
+        assert reused == fresh
+        assert fresh[0]["samples_used"] > 0
+
+    def test_exact_probs_are_part_of_the_key(self):
+        decimal = parse_graph("0 1 0.1\n1 2 0.1")
+        binary = UncertainGraph(
+            decimal.n, decimal.edges, decimal.probs,
+            exact_probs=tuple(Fraction(p) for p in decimal.probs),
+        )
+        assert decimal == binary
+        t = TerminalSet.of([0, 2])
+
+        def factor(g):
+            res = estimate_pipeline(g, t, s=10, w=None, precision="exact")
+            return res.raw["bridge_factor"]
+
+        a = factor(decimal)
+        b = factor(binary)
+        assert a == "1/100" and a != b
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        assert factor(binary) == b
+
+    def test_preprocess_flag_is_part_of_the_key(self, karate_graph, monkeypatch):
+        calls = self._count_preprocess(monkeypatch)
+        t = self.KARATE_TERMINALS
+        reduced = estimate_pipeline(karate_graph, t, s=500, w=50)
+        whole = estimate_pipeline(karate_graph, t, s=500, w=50,
+                                  use_preprocess=False)
+        assert len(calls) == 1
+        assert reduced.preprocessed and not whole.preprocessed
+        assert whole.part_shapes == [(karate_graph.n, karate_graph.m)]
+        assert reduced.part_shapes != whole.part_shapes
 
 
 class TestExactPipeline:

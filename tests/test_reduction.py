@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,10 +7,12 @@ from relnet.exact import brute_force_reliability
 from relnet.graph import TerminalSet, UncertainGraph, parse_graph
 from relnet.generate import random_connected_graph, random_terminals
 from relnet.reduction import (
+    Decomposition,
     build_structure_index,
     decompose,
     preprocess,
     transform,
+    undecomposed,
 )
 from conftest import small_case
 
@@ -107,6 +110,25 @@ class TestDecompose:
         assert brute_force_reliability(g, TerminalSet.of([0, 2])).reliability == (
             pytest.approx(0.3)
         )
+
+    def test_split_terminals_read_zero(self):
+        # the terminal-holding components lie in different bridge trees
+        for text, terms in (
+            ("0 1 0.5\n2 3 0.5", [0, 2]),
+            ("0 1 0.5\n1 2 0.5\n0 2 0.5\n3 4 0.5\n4 5 0.5\n3 5 0.5", [0, 1, 4]),
+            # bridged blocks with pendants on both sides of the split
+            ("0 1 0.5\n1 2 0.5\n0 2 0.5\n2 3 0.7\n3 4 0.8\n"
+             "5 6 0.5\n6 7 0.5\n5 7 0.5\n7 8 0.9", [0, 3, 6]),
+        ):
+            g = parse_graph(text, require_connected=False)
+            t = TerminalSet.of(terms)
+            assert decompose(g, t) == undecomposed(g, t)
+            assert decompose(g, t) == Decomposition(0.0, Fraction(0), ())
+            float_only = UncertainGraph(g.n, g.edges, g.probs)
+            assert decompose(float_only, t) == Decomposition(0.0, None, ())
+        # a terminal with no edges at all
+        g = UncertainGraph(4, ((0, 1), (1, 2)), (0.5, 0.5))
+        assert decompose(g, TerminalSet.of([0, 3])) == Decomposition(0.0, None, ())
 
     def test_bridgeless_graph_single_part(self):
         g = parse_graph("0 1 0.5\n1 2 0.5\n2 0 0.5")
