@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="bounded construction plus sampling")
     add_io(est)
-    est.add_argument("--s", type=int, default=10000, help="sample budget")
-    est.add_argument("--w", type=int, default=10000, help="max nodes per layer")
+    est.add_argument("--s", type=_int_at_least(1), default=10000, help="sample budget")
+    est.add_argument("--w", type=_int_at_least(1), default=10000,
+                     help="max nodes per layer")
     est.add_argument("--estimator", choices=("mc", "ht"), default="mc")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--precision", choices=("double", "exact"), default="double")
@@ -126,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="accuracy harness against exact references")
     add_io(ben, need_terminals=False)
     ben.add_argument("--k", type=int, default=5, help="terminals per search")
-    ben.add_argument("--q1", type=int, default=10, help="searches")
-    ben.add_argument("--q2", type=int, default=10, help="repetitions per search")
-    ben.add_argument("--s", type=int, default=1000)
-    ben.add_argument("--w", type=int, default=1000)
+    ben.add_argument("--q1", type=_int_at_least(1), default=10, help="searches")
+    ben.add_argument("--q2", type=_int_at_least(1), default=10,
+                     help="repetitions per search")
+    ben.add_argument("--s", type=_int_at_least(1), default=1000)
+    ben.add_argument("--w", type=_int_at_least(1), default=1000)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
     ben.add_argument("--no-exact", action="store_true",
@@ -160,13 +162,13 @@ def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None) -> None:
         sys.stdout.write(text)
 
 
-def _flatten_rows(payload: dict, prefix: str = "") -> list[dict]:
+def _flatten_rows(payload: dict) -> list[dict]:
     flat: dict[str, object] = {}
 
     def walk(obj, pfx):
         if isinstance(obj, dict):
             for key in sorted(obj):
-                walk(obj[key], f"{pfx}{key}." if not pfx else f"{pfx}{key}.")
+                walk(obj[key], f"{pfx}{key}.")
         elif isinstance(obj, list):
             for i, item in enumerate(obj):
                 walk(item, f"{pfx}{i}.")
@@ -208,8 +210,6 @@ def cmd_estimate(args) -> int:
     if args.no_bdd and args.trace:
         raise UsageError("--trace needs the diagram's layers; --no-bdd has none")
     g, terminals = _load_inputs(args)
-    if args.s < 1 or args.w < 1:
-        raise UsageError("--s and --w must be >= 1")
     trace_rows: Optional[list] = [] if args.trace else None
     if args.no_bdd:
         result = plain_sample_estimate(
@@ -346,10 +346,6 @@ def cmd_bench(args) -> int:
     g = load_graph(args.graph)
     if args.k < 2 or args.k > g.n:
         raise UsageError("--k must be in [2, |V|]")
-    if args.q1 < 1 or args.q2 < 1:
-        raise UsageError("--q1 and --q2 must be >= 1")
-    if args.s < 1 or args.w < 1:
-        raise UsageError("--s and --w must be >= 1")
     t0 = time.perf_counter()
     methods = ("ours-mc", "ours-ht", "sampling-mc", "sampling-ht")
     rows: list[dict] = []

@@ -331,8 +331,7 @@ class _Suffix:
     Slot i < ``frontier`` is the i-th frontier vertex.  The vertices the
     ordering has not reached follow: the unreached terminals first, sorted,
     then the others in order of first appearance along the suffix.  ``edges``
-    holds (slot, slot, p, 1 - p) per undecided edge in processing order;
-    edges with both endpoints on one slot are left out.
+    holds (slot, slot, p, 1 - p) per undecided edge in processing order.
     """
 
     frontier: int
@@ -356,9 +355,8 @@ def _suffix(
         u, v = g.edges[j]
         a = slot.setdefault(u, len(slot))
         b = slot.setdefault(v, len(slot))
-        if a != b:
-            p = g.probs[j]
-            edges.append((a, b, p, 1.0 - p))
+        p = g.probs[j]
+        edges.append((a, b, p, 1.0 - p))
     return _Suffix(f, len(slot) - f, n_terminals, tuple(edges))
 
 
@@ -618,7 +616,6 @@ class _Build:
 @lru_cache(maxsize=1)
 def _build(
     g: UncertainGraph,
-    exact_probs: Optional[tuple[Fraction, ...]],
     terminals: TerminalSet,
     width: Optional[int],
     samples: int,
@@ -629,8 +626,7 @@ def _build(
 
     Every stratum draws from its own stream named by its layer and kind, so
     neither the seed nor the estimator changes what is built, and a build is
-    reused across seeds.  ``exact_probs`` is part of the cache key because
-    graph equality ignores it while exact precision reads it.
+    reused across seeds.
     """
     # a miss: drop the previous build now, so at most one is alive at a time
     # (this also zeroes the cache_info() counts)
@@ -731,18 +727,17 @@ def _build(
             layer_nodes = []
             break
 
-    residual = unsampled_mass.value
-    if layer_nodes:
-        # Natural completion leaves no nodes; anything left means the loop
-        # ended without consuming them (possible only with zero layers).
-        residual += sum(float(nd.p) for nd in layer_nodes)
+    # nodes are left only when the graph has no edges, so the terminals
+    # cannot connect
+    for nd in layer_nodes:
+        p_d.add(nd.p)
     return _Build(
         eo=eo,
         strata=tuple(strata),
         p_c=p_c.raw,
         p_d=p_d.raw,
         bounds=current_bounds(),
-        residual=residual,
+        residual=unsampled_mass.value,
         drawn=drawn,
         reduced=s_prime,
         layers=layers_done,
@@ -767,7 +762,7 @@ def construct(
     terminals.validate(g)
     t_start = time.perf_counter()
     build = _build(
-        g, g.exact_probs, terminals, config.width, config.samples,
+        g, terminals, config.width, config.samples,
         config.precision, config.width_cap,
     )
     if trace is not None:

@@ -49,10 +49,6 @@ class Bounds:
     def undecided(self) -> float:
         return max(0.0, 1.0 - self.p_c - self.p_d)
 
-    @property
-    def width(self) -> float:
-        return max(0.0, self.upper - self.lower)
-
 
 @dataclass(frozen=True)
 class SampleBudget:

@@ -32,8 +32,9 @@ class UncertainGraph:
     """Immutable undirected multigraph with per-edge probabilities.
 
     Vertices are dense ids 0..n-1.  Parallel edges are allowed (they arise
-    naturally during reduction); self-loops are rejected at ingestion and may
-    only appear transiently inside reduction rewrites.
+    naturally during reduction); self-loops are rejected.  Two graphs are
+    equal, and hash alike, when their vertex counts, edges, probabilities
+    and exact probabilities all are.
     """
 
     n: int
@@ -41,7 +42,7 @@ class UncertainGraph:
     probs: tuple[float, ...]
     # Exact decimal readings of the probabilities, kept when the graph came
     # from text or from exact-mode arithmetic; used by exact computations.
-    exact_probs: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
+    exact_probs: Optional[tuple[Fraction, ...]] = None
     _incident: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -55,9 +56,10 @@ class UncertainGraph:
         for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphInvariantError(f"edge {i} endpoint out of range")
+            if u == v:
+                raise GraphInvariantError(f"edge {i} is a self-loop")
             inc[u].append(i)
-            if v != u:
-                inc[v].append(i)
+            inc[v].append(i)
         for p in self.probs:
             if not (0.0 < p <= 1.0):
                 raise GraphInvariantError(f"probability {p} out of range (0, 1]")

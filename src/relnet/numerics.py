@@ -23,8 +23,8 @@ class KahanSum:
 
     __slots__ = ("_total", "_carry")
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._total = float(start)
+    def __init__(self) -> None:
+        self._total = 0.0
         self._carry = 0.0
 
     def add(self, x: float) -> None:

@@ -105,16 +105,11 @@ def split_budget(total: int, weights: list[int]) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _decomposition(
-    g: UncertainGraph,
-    exact_probs: Optional[tuple[Fraction, ...]],
-    terminals: TerminalSet,
-    use_preprocess: bool,
+    g: UncertainGraph, terminals: TerminalSet, use_preprocess: bool
 ) -> Decomposition:
     """The seed-free first step of :func:`estimate_pipeline`, reused.
 
-    ``exact_probs`` is part of the key because graph equality ignores it
-    while the exact bridge factor and the part graphs read it.  The result
-    is frozen and holds only tuples, so calls share it.
+    The result is frozen and holds only tuples, so calls share it.
     """
     # a miss: drop the previous decomposition now, so at most one is alive
     _decomposition.cache_clear()
@@ -141,7 +136,7 @@ def estimate_pipeline(
     """
     t0 = time.perf_counter()
     exact_mode = precision == "exact"
-    deco = _decomposition(g, g.exact_probs, terminals, use_preprocess)
+    deco = _decomposition(g, terminals, use_preprocess)
     t_pre = time.perf_counter() - t0
 
     budgets = split_budget(s, [pg.m for pg, _ in deco.parts])

@@ -7,7 +7,7 @@ the k-terminal reliability:
              that lies beyond it, and factor on the rest, splitting the graph
              into independent parts whose reliabilities multiply (times the
              kept bridges' probabilities);
-* transform: collapse series chains, parallel edges, and self-loops.
+* transform: collapse series chains and parallel edges.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def build_structure_index(g: UncertainGraph) -> StructureIndex:
                     continue
                 a, b = g.edges[j]
                 w = b if a == v else a
-                if w == v:
-                    continue  # self-loop
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
@@ -204,7 +202,7 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
 def transform(
     g: UncertainGraph, terminals: TerminalSet
 ) -> tuple[UncertainGraph, TerminalSet]:
-    """Collapse series chains, parallel edges, and loops to a fixpoint.
+    """Collapse series chains and parallel edges to a fixpoint.
 
     Series: a non-terminal degree-2 vertex contracts, its two edge
     probabilities multiplying, unless the replacement edge would duplicate an
@@ -228,16 +226,10 @@ def transform(
     while changed:
         changed = False
 
-        # loops
-        for j, (u, v) in enumerate(edges):
-            if alive[j] and u == v:
-                alive[j] = False
-                changed = True
-
         # parallel edges
         by_pair: dict[tuple[int, int], int] = {}
         for j, (u, v) in enumerate(edges):
-            if not alive[j] or u == v:
+            if not alive[j]:
                 continue
             key = (u, v) if u < v else (v, u)
             prev = by_pair.get(key)
@@ -263,8 +255,6 @@ def transform(
                 continue
             a = edges[j1][1] if edges[j1][0] == v else edges[j1][0]
             b = edges[j2][1] if edges[j2][0] == v else edges[j2][0]
-            if a == v or b == v:
-                continue  # loop at v, handled above
             alive[j1] = alive[j2] = False
             changed = True
             if a == b:

@@ -280,6 +280,18 @@ class TestErrorPaths:
         for bad in (["--s", "0"], ["--s", "-3"], ["--w", "0"]):
             assert run(base + bad) == 2, bad
 
+    def test_numeric_flags_are_checked_before_input_is_read(self):
+        missing = ["--graph", "/nonexistent.edges"]
+        for argv in (
+            ["estimate", *missing, "--terminals", "0,1", "--s", "0"],
+            ["estimate", *missing, "--terminals", "0,1", "--w", "0"],
+            ["bench", *missing, "--q1", "0"],
+            ["bench", *missing, "--q2", "0"],
+            ["bench", *missing, "--s", "0"],
+            ["bench", *missing, "--w", "-1"],
+        ):
+            assert run(argv) == 2, argv
+
     def test_nonsense_caps_are_usage_errors(self):
         io = ["--graph", str(DATA_DIR / "karate.edges")]
         terms = ["--terminals", "0,16,33"]

@@ -453,7 +453,7 @@ class TestSamplerMatchesQuotientSampling:
         assert ht.outcomes == outcomes
 
     def _check_build_and_root(self, g, t, w, s, seed):
-        build = _build(g, g.exact_probs, t, w, s, "double", None)
+        build = _build(g, t, w, s, "double", None)
         for layer, kind, nodes, cum, mass, draws in build.strata:
             self._check(g, t, build.eo, layer, kind, nodes, cum, mass, draws, seed)
         self._check(g, t, build.eo, 0, "deleted", [ROOT], (1.0,), 1.0, 300, seed)
@@ -505,6 +505,27 @@ class TestConstruct:
         rep = construct(g, TerminalSet.of([0, 1, 2]), BuildConfig(width=None))
         assert rep.estimate == 1.0
         assert rep.bounds.p_c == 1.0
+
+    def test_edgeless_graph_reads_zero(self):
+        from fractions import Fraction
+
+        from relnet.graph import UncertainGraph
+
+        g = UncertainGraph(2, (), ())
+        t = TerminalSet.of([0, 1])
+        for estimator in ("mc", "ht"):
+            for precision in ("double", "exact"):
+                cfg = BuildConfig(
+                    width=2, samples=100, estimator=estimator, precision=precision
+                )
+                rep = construct(g, t, cfg)
+                assert (rep.estimate, rep.variance) == (0.0, 0.0)
+                assert (rep.bounds.p_c, rep.bounds.p_d) == (0.0, 1.0)
+                assert rep.exact and rep.unsampled_mass == 0.0
+        assert rep.raw == {"p_c": "0", "p_d": "1", "estimate": "0"}
+        assert exact_reliability(g, t) == 0.0
+        r = exact_reliability(g, t, precision="exact")
+        assert isinstance(r, Fraction) and r == 0
 
     def test_bounds_sandwich_and_monotone_at_small_widths(self):
         for seed in range(12):
@@ -596,7 +617,7 @@ class TestConstruct:
             decimal.n, decimal.edges, decimal.probs,
             exact_probs=tuple(Fraction(p) for p in decimal.probs),
         )
-        assert decimal == binary
+        assert decimal != binary
         t = TerminalSet.of([0, 1, 2])
         cfg = BuildConfig(width=None, precision="exact")
         a = construct(decimal, t, cfg).raw
@@ -662,7 +683,7 @@ class TestConstruct:
             ref = naive_reliability(g, t)
             for w in (1, 2, 4, 16):
                 for s in (20, 200):
-                    build = _build(g, g.exact_probs, t, w, s, "double", None)
+                    build = _build(g, t, w, s, "double", None)
                     # the stored budget is the final bounds' reduction
                     assert build.reduced == reduced_sample_count(s, build.bounds)
                     expected = build.p_c + 0.5 * build.residual
@@ -692,7 +713,7 @@ class TestConstruct:
         for seed in range(60):
             g, t = small_case(seed)
             for w in (1, 2, 4):
-                build = _build(g, g.exact_probs, t, w, 200, "double", None)
+                build = _build(g, t, w, 200, "double", None)
                 for layer, kind, nodes, cum, mass, draws in build.strata:
                     if mass > 0.5:
                         continue

@@ -7,6 +7,7 @@ from relnet.graph import (
     GraphFormatError,
     GraphInvariantError,
     TerminalSet,
+    UncertainGraph,
     assignment_probability,
     load_graph,
     parse_graph,
@@ -62,6 +63,18 @@ class TestLoadGraph:
     def test_stream_source(self):
         g = load_graph(io.StringIO("0 1 0.5\n1 2 0.5"))
         assert g.m == 2
+
+
+class TestModel:
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphInvariantError, match="self-loop"):
+            UncertainGraph(2, ((0, 0), (0, 1)), (0.5, 0.5))
+
+    def test_readings_of_one_text_are_equal(self):
+        text = "0 1 0.1\n1 2 0.3\n0 2 0.7"
+        a, b = parse_graph(text), parse_graph(text)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
 
 
 class TestTerminals:

@@ -131,7 +131,7 @@ class TestDecompositionReuse:
             decimal.n, decimal.edges, decimal.probs,
             exact_probs=tuple(Fraction(p) for p in decimal.probs),
         )
-        assert decimal == binary
+        assert decimal != binary
         t = TerminalSet.of([0, 2])
 
         def factor(g):
