@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cols", type=int, default=5)
     gen.add_argument("--n", type=int, default=50)
     gen.add_argument("--m", type=int, default=100)
-    gen.add_argument("--attach", type=int, default=2)
-    gen.add_argument("--cycles", type=int, default=8)
+    gen.add_argument("--attach", type=_int_at_least(1), default=2)
+    gen.add_argument("--cycles", type=_int_at_least(0), default=8)
     gen.add_argument("--probs", choices=("uniform", "log-degree"), default="uniform")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)

@@ -11,11 +11,10 @@ resident at a time.
 
 When a layer outgrows the configured width, the lowest-priority nodes are
 deleted and become sampling strata.  A stratum's nodes share the layer's
-undecided edges (the suffix of the order), so the suffix is mapped onto
-endpoint slots once per stratum; each draw then completes one node in a
-single union-find pass over the suffix, skipping the edges internal to the
-node's components.  The final estimate combines the bounds with the
-per-stratum draws.
+undecided edges, a suffix of the order's edge table.  Each draw completes one
+node in a single union-find pass over vertex ids, taking the suffix minus the
+edges internal to the node's components.  The final estimate combines the
+bounds with the per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, deleted nodes with their running mass sums, per-layer
@@ -66,13 +65,15 @@ class WidthCapExceeded(RuntimeError):
 class EdgeOrder:
     """A processing order for the edges and the induced frontier profile.
 
-    ``order[l]`` is the original index of the edge decided at layer l.
-    ``frontiers[l]`` lists the vertices incident to both decided and
-    undecided edges just before layer l is processed; it is derived from the
-    order alone.
+    ``order[l]`` is the original index of the edge decided at layer l, and
+    ``edges[l]`` is that edge as (u, v, p, 1 - p); the undecided edges at
+    layer l are ``edges[l:]``.  ``frontiers[l]`` lists the vertices incident
+    to both decided and undecided edges just before layer l is processed; it
+    is derived from the order alone.
     """
 
     order: tuple[int, ...]
+    edges: tuple[tuple[int, int, float, float], ...]
     first: tuple[int, ...]
     frontiers: tuple[tuple[int, ...], ...]
     incident_positions: tuple[tuple[int, ...], ...]
@@ -133,8 +134,10 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
         for v in leave[pos]:
             del frontier[bisect_left(frontier, v)]
         frontiers.append(tuple(frontier))
+    probs = g.probs
     return EdgeOrder(
         order=tuple(order),
+        edges=tuple((*g.edges[j], probs[j], 1.0 - probs[j]) for j in order),
         first=tuple(first),
         frontiers=tuple(frontiers),
         incident_positions=tuple(tuple(p) for p in inc_pos),
@@ -321,44 +324,8 @@ def split_layer(
 
 
 # ---------------------------------------------------------------------------
-# Stratum sampling (one pass over the shared undecided suffix)
+# Stratum sampling (one pass over the order's undecided edges)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Suffix:
-    """The undecided edges at a layer, over node-independent endpoint slots.
-
-    Slot i < ``frontier`` is the i-th frontier vertex.  The vertices the
-    ordering has not reached follow: the unreached terminals first, sorted,
-    then the others in order of first appearance along the suffix.  ``edges``
-    holds (slot, slot, p, 1 - p) per undecided edge in processing order.
-    """
-
-    frontier: int
-    extras: int
-    terminals: int
-    edges: tuple[tuple[int, int, float, float], ...]
-
-
-def _suffix(
-    g: UncertainGraph, eo: EdgeOrder, layer: int, terminals: TerminalSet
-) -> _Suffix:
-    fl = eo.frontiers[layer]
-    f = len(fl)
-    slot = {x: i for i, x in enumerate(fl)}
-    for x in sorted(terminals.vertices):
-        if eo.first[x] >= layer:
-            slot[x] = len(slot)
-    n_terminals = len(slot) - f
-    edges: list[tuple[int, int, float, float]] = []
-    for j in eo.order[layer:]:
-        u, v = g.edges[j]
-        a = slot.setdefault(u, len(slot))
-        b = slot.setdefault(v, len(slot))
-        p = g.probs[j]
-        edges.append((a, b, p, 1.0 - p))
-    return _Suffix(f, len(slot) - f, n_terminals, tuple(edges))
-
 
 def stratum_quotient(
     g: UncertainGraph, eo: EdgeOrder, layer: int, node: Node, terminals: TerminalSet
@@ -367,44 +334,47 @@ def stratum_quotient(
 
     The quotient has one vertex per live component plus one per vertex not
     yet reached by the ordering; its edges are the undecided edges of the
-    original graph.  All completions of the node connect the terminals iff
-    the corresponding quotient realization connects every terminal-bearing
-    component and every unreached terminal.  :func:`sample_group_stratum`
-    draws from this graph without building it.
+    original graph, taken from the order's edge table.  All completions of
+    the node connect the terminals iff the corresponding quotient realization
+    connects every terminal-bearing component and every unreached terminal.
+    :func:`sample_group_stratum` draws from this graph without building it.
     """
-    sfx = _suffix(g, eo, layer, terminals)
-    nc = len(node.t)
-    ids = list(node.comp)
-    ids.extend(range(nc, nc + sfx.extras))
-    qedges: list[tuple[int, int]] = []
-    qprobs: list[float] = []
-    for a, b, p, _ in sfx.edges:
-        mu, mv = ids[a], ids[b]
-        if mu != mv:  # internal to a component, cannot change connectivity
-            qedges.append((mu, mv))
-            qprobs.append(p)
-    targets = [c for c in range(nc) if node.t[c] > 0]
-    targets.extend(range(nc, nc + sfx.terminals))
+    unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
+    parents, kept, targets = _node_pass(g.n, eo, layer, node, unreached)
+    # components in frontier order, then the unreached terminals, then the
+    # other unreached vertices as the kept edges reach them
+    ids: dict[int, int] = {}
+    for x in (*eo.frontiers[layer], *unreached):
+        ids.setdefault(parents[x], len(ids))
+    qedges = []
+    for a, b, _, _ in kept:
+        mu = ids.setdefault(parents[a], len(ids))
+        qedges.append((mu, ids.setdefault(parents[b], len(ids))))
     quotient = UncertainGraph(
-        n=nc + sfx.extras, edges=tuple(qedges), probs=tuple(qprobs)
+        n=len(ids), edges=tuple(qedges), probs=tuple(e[2] for e in kept)
     )
-    return quotient, TerminalSet.of(targets)
+    return quotient, TerminalSet.of(ids[x] for x in targets)
 
 
-def _node_pass(sfx: _Suffix, node: Node) -> tuple[list[int], list, list[int]]:
-    """A node's union-find parents, kept edges and target slots over ``sfx``.
+def _node_pass(
+    n: int, eo: EdgeOrder, layer: int, node: Node, unreached: Sequence[int]
+) -> tuple[list[int], list, list[int]]:
+    """A node's union-find parents, kept edges and targets over vertex ids.
 
-    Frontier slots start under the first slot of their component, so the
-    kept edges are the suffix minus those joining two slots of one
-    component: the quotient's edges, in its order.
+    ``n`` is the graph's vertex count.  Each frontier vertex starts under
+    the first frontier vertex of its component and every other vertex under
+    itself, so the kept edges are ``eo.edges[layer:]`` minus those joining
+    two vertices of one component: the quotient's edges, in its order.  The
+    targets are one vertex per terminal-bearing component plus the
+    ``unreached`` terminals.
     """
-    f = sfx.frontier
     first: dict[int, int] = {}
-    parents = [first.setdefault(c, i) for i, c in enumerate(node.comp)]
-    parents.extend(range(f, f + sfx.extras))
-    kept = [e for e in sfx.edges if parents[e[0]] != parents[e[1]]]
+    parents = list(range(n))
+    for x, c in zip(eo.frontiers[layer], node.comp):
+        parents[x] = first.setdefault(c, x)
+    kept = [e for e in eo.edges[layer:] if parents[e[0]] != parents[e[1]]]
     targets = [first[c] for c, tc in enumerate(node.t) if tc > 0]
-    targets.extend(range(f, f + sfx.terminals))
+    targets.extend(unreached)
     return parents, kept, targets
 
 
@@ -429,11 +399,12 @@ def sample_group_stratum(
     budget individually), then completes the node over the layer's undecided
     suffix.  ``cum`` holds the running float sums of the node masses, in
     node order, as :func:`_build` stores them; the node is found by
-    bisecting it.  The suffix is mapped onto endpoint slots once per stratum; a
-    node hit for the first time caches its union-find parents, kept edges
-    and target slots, and each draw is one pass over the kept edges, one
-    ``random()`` per edge, joining the endpoints of every edge drawn.  This
-    draws exactly what sampling :func:`stratum_quotient` would.
+    bisecting it.  The unreached terminals are found once per stratum; a
+    node hit for the first time caches its union-find parents over vertex
+    ids, its kept edges from the order's edge table and its target vertices,
+    and each draw is one pass over the kept edges, one ``random()`` per
+    edge, joining the endpoints of every edge drawn.  This draws exactly
+    what sampling :func:`stratum_quotient` would.
 
     The stratum draws from its own stream, named by its layer and ``kind``:
     a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
@@ -444,7 +415,7 @@ def sample_group_stratum(
     rng = rngmod.stream(seed, "layer", layer, kind)
     rnd = rng.random
     total = cum[-1]
-    sfx = _suffix(g, eo, layer, terminals)
+    unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
     cache: dict[int, tuple[list[int], list, list[int]]] = {}
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
@@ -454,7 +425,7 @@ def sample_group_stratum(
             i = len(nodes) - 1
         entry = cache.get(i)
         if entry is None:
-            entry = cache[i] = _node_pass(sfx, nodes[i])
+            entry = cache[i] = _node_pass(g.n, eo, layer, nodes[i], unreached)
         parents, kept, targets = entry
         parent = parents[:]
         if want_outcomes:

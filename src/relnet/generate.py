@@ -71,6 +71,8 @@ def preferential_graph(
     chosen with probability proportional to degree."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
+    if attach < 1:
+        raise ValueError("each new vertex must attach to at least 1 target")
     rng = stream(seed, "gen", "pa")
     edges: list[tuple[int, int]] = [(0, 1)]
     endpoint_pool = [0, 1]
@@ -148,6 +150,10 @@ def tree_rich_graph(
     A random tree plus a few sibling chords; each chord closes one local
     triangle, so removing bridges leaves only small components.
     """
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if cycle_count < 0:
+        raise ValueError("cycle count must be >= 0")
     rng = stream(seed, "gen", "tree-rich")
     parent = [0] * n
     edges: list[tuple[int, int]] = []

@@ -34,7 +34,8 @@ class UncertainGraph:
     Vertices are dense ids 0..n-1.  Parallel edges are allowed (they arise
     naturally during reduction); self-loops are rejected.  Two graphs are
     equal, and hash alike, when their vertex counts, edges, probabilities
-    and exact probabilities all are.
+    and exact probabilities all are.  The hash is computed on first use and
+    kept, so a graph used again as a cache key costs nothing to hash.
     """
 
     n: int
@@ -46,6 +47,7 @@ class UncertainGraph:
     _incident: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    _hash: Optional[int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.probs):
@@ -64,6 +66,13 @@ class UncertainGraph:
             if not (0.0 < p <= 1.0):
                 raise GraphInvariantError(f"probability {p} out of range (0, 1]")
         object.__setattr__(self, "_incident", tuple(tuple(x) for x in inc))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.edges, self.probs, self.exact_probs))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def m(self) -> int:

@@ -305,6 +305,21 @@ class TestErrorPaths:
         ):
             assert run(argv) == 2, argv
 
+    def test_degenerate_generator_flags_are_usage_errors(self, tmp_path):
+        out = ["--out", str(tmp_path / "g.edges")]
+        for argv in (
+            ["gen", "--kind", "scale-free", "--n", "5", "--attach", "0", *out],
+            ["gen", "--kind", "tree-rich", "--n", "10", "--cycles", "-1", *out],
+        ):
+            assert run(argv) == 2, argv
+        assert not (tmp_path / "g.edges").exists()
+
+    def test_too_small_tree_rich_graph_is_data_error(self, tmp_path):
+        out = tmp_path / "g.edges"
+        assert run(["gen", "--kind", "tree-rich", "--n", "1",
+                    "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_brute_cap_is_resource_error(self, tmp_path):
         from relnet.generate import random_connected_graph
         from relnet.graph import write_graph

@@ -101,6 +101,7 @@ def _edge_order_by_definition(g, order):
     )
     return EdgeOrder(
         order=tuple(order),
+        edges=tuple((*g.edges[j], g.probs[j], 1 - g.probs[j]) for j in order),
         first=tuple(first),
         frontiers=frontiers,
         incident_positions=tuple(tuple(p) for p in inc_pos),

@@ -38,6 +38,24 @@ def test_preferential_graph_connected():
     assert g.m == 1 + 2 * 28
 
 
+@pytest.mark.parametrize("make", [
+    lambda: preferential_graph(5, attach=0),
+    lambda: preferential_graph(5, attach=-1),
+    lambda: tree_rich_graph(1),
+    lambda: tree_rich_graph(0),
+    lambda: tree_rich_graph(10, cycle_count=-1),
+], ids=["attach-0", "attach-negative", "one-vertex-tree", "empty-tree",
+        "negative-cycles"])
+def test_generators_reject_degenerate_parameters(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_tree_rich_without_chords_is_a_tree():
+    g = tree_rich_graph(12, cycle_count=0, seed=2)
+    assert g.is_connected() and g.m == g.n - 1
+
+
 def test_tree_rich_mostly_bridges():
     from relnet.reduction import build_structure_index
 

@@ -74,7 +74,9 @@ class TestModel:
         text = "0 1 0.1\n1 2 0.3\n0 2 0.7"
         a, b = parse_graph(text), parse_graph(text)
         assert a is not b
-        assert a == b and hash(a) == hash(b)
+        h = hash(a)  # a keeps its hash, b has not computed one yet
+        assert a == b and b == a
+        assert hash(b) == h == hash(a)
 
 
 class TestTerminals:

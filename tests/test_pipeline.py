@@ -14,8 +14,8 @@ from relnet.pipeline import (
     split_budget,
 )
 from relnet.generate import random_connected_graph, random_terminals
-from relnet.graph import TerminalSet, UncertainGraph, parse_graph
-from conftest import small_case
+from relnet.graph import TerminalSet, UncertainGraph, load_graph, parse_graph
+from conftest import DATA_DIR, small_case
 
 
 class TestSplitBudget:
@@ -144,6 +144,26 @@ class TestDecompositionReuse:
         _decomposition.cache_clear()
         _build.cache_clear()
         assert factor(binary) == b
+
+    def test_warm_call_hashes_no_probability(self, monkeypatch):
+        # each graph caches its hash, so a repeated call's cache keys do not
+        # walk the exact probabilities again
+        g = load_graph(DATA_DIR / "karate.edges")
+        t = self.KARATE_TERMINALS
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        estimate_pipeline(g, t, s=1000, w=100, seed=1)
+        calls = []
+        real = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        estimate_pipeline(g, t, s=1000, w=100, seed=2)
+        assert _decomposition.cache_info().hits == _build.cache_info().hits == 1
+        assert calls == []
 
     def test_preprocess_flag_is_part_of_the_key(self, karate_graph, monkeypatch):
         calls = self._count_preprocess(monkeypatch)
