@@ -50,7 +50,7 @@ from .graph import (
     # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
     sample_possible_graph,  # noqa: F401
 )
-from .numerics import KahanSum, Probability, to_fraction
+from .numerics import FractionSum, KahanSum, Probability
 
 
 class WidthCapExceeded(RuntimeError):
@@ -493,36 +493,13 @@ class BuildConfig:
             raise ValueError("precision must be 'double' or 'exact'")
 
 
-class _MassAccumulator:
-    """Kahan in double mode, exact rational otherwise."""
-
-    def __init__(self, exact: bool) -> None:
-        self.exact = exact
-        self._kahan = KahanSum()
-        self._frac = Fraction(0)
-
-    def add(self, x: Probability) -> None:
-        if self.exact:
-            self._frac += x
-        else:
-            self._kahan.add(x)  # type: ignore[arg-type]
-
-    @property
-    def value(self) -> float:
-        return float(self._frac) if self.exact else self._kahan.value
-
-    @property
-    def raw(self) -> Probability:
-        return self._frac if self.exact else self._kahan.value
-
-
 def expand_layer(
     nodes: list[Node],
     step: _LayerStep,
     pe: Probability,
     k: int,
-    p_c: _MassAccumulator,
-    p_d: _MassAccumulator,
+    p_c: KahanSum | FractionSum,
+    p_d: KahanSum | FractionSum,
 ) -> tuple[list[Node], float]:
     """Decide one layer's edge for every node of the layer.
 
@@ -608,9 +585,9 @@ def _build(
     k = terminals.k
     s = samples
 
-    p_c = _MassAccumulator(exact)
-    p_d = _MassAccumulator(exact)
-    one: Probability = Fraction(1) if exact else 1.0
+    mass_sum, one = (FractionSum, Fraction(1)) if exact else (KahanSum, 1.0)
+    p_c = mass_sum()
+    p_d = mass_sum()
     layer_nodes: list[Node] = [Node(one, (), ())]
     strata: list[_Stratum] = []
     rows: list[dict] = []
@@ -628,7 +605,7 @@ def _build(
         return Bounds(pc, pd)
 
     def mass_of(nodes: list[Node]) -> float:
-        acc = _MassAccumulator(exact)
+        acc = mass_sum()
         for nd in nodes:
             acc.add(nd.p)
         return acc.value
@@ -801,15 +778,12 @@ def exact_reliability(
 
     Fails with :class:`WidthCapExceeded` when any layer outgrows the cap.
     """
-    cfg = BuildConfig(
-        width=None, samples=0, precision=precision, width_cap=width_cap
-    )
-    report = construct(g, terminals, cfg)
-    gap = 1.0 - report.bounds.p_c - report.bounds.p_d
+    cfg = BuildConfig(width=None, precision=precision, width_cap=width_cap)
+    terminals.validate(g)
+    build = _build(g, terminals, None, 0, cfg.precision, cfg.width_cap)
+    gap = 1.0 - build.bounds.p_c - build.bounds.p_d
     if abs(gap) > 1e-9:
         raise GraphInvariantError(
             f"construction left {gap} mass undecided in exact run"
         )
-    if precision == "exact":
-        return to_fraction(Fraction(report.raw["p_c"]))
-    return report.bounds.p_c
+    return build.p_c if precision == "exact" else build.bounds.p_c

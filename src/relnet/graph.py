@@ -16,7 +16,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .numerics import Probability, to_fraction
+from .numerics import Probability, decimal_text, to_fraction
 
 
 class GraphFormatError(ValueError):
@@ -41,8 +41,8 @@ class UncertainGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
     probs: tuple[float, ...]
-    # Exact decimal readings of the probabilities, kept when the graph came
-    # from text or from exact-mode arithmetic; used by exact computations.
+    # Exact values of the probabilities (a text graph's literals, a reduced
+    # graph's exact products); None reads the floats, see prob_values.
     exact_probs: Optional[tuple[Fraction, ...]] = None
     _incident: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
@@ -82,6 +82,11 @@ class UncertainGraph:
         return self._incident[v]
 
     def prob_values(self, exact: bool = False) -> Sequence[Probability]:
+        """The float probabilities, or with ``exact`` the exact ones.
+
+        Without ``exact_probs``, the exact values are read from the floats'
+        shortest reprs on every call.
+        """
         if not exact:
             return self.probs
         if self.exact_probs is not None:
@@ -243,12 +248,20 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
 
 
 def write_graph(g: UncertainGraph, path, *, header: str | None = None) -> None:
+    """Write the edge-list format that :func:`load_graph` reads.
+
+    A probability is written as its float's repr, or as its exact decimal
+    expansion where the repr reads back as another value.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
-        for (u, v), p in zip(g.edges, g.probs):
-            fh.write(f"{u} {v} {p!r}\n")
+        for (u, v), p, x in zip(g.edges, g.probs, g.prob_values(True)):
+            text = repr(p)
+            if Fraction(text) != x:
+                text = decimal_text(x) or text
+            fh.write(f"{u} {v} {text}\n")
 
 
 def parse_terminals(spec: str, g: UncertainGraph) -> TerminalSet:

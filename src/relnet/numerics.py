@@ -11,7 +11,7 @@ the exact decimal value of its shortest repr.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Probability = Union[float, Fraction]
 
@@ -37,6 +37,28 @@ class KahanSum:
     def value(self) -> float:
         return self._total
 
+    raw = value  # the running sum is already the accumulator's own value
+
+
+class FractionSum:
+    """Exact accumulator: ``raw`` is the sum, ``value`` rounds it."""
+
+    __slots__ = ("_total",)
+
+    def __init__(self) -> None:
+        self._total = Fraction(0)
+
+    def add(self, x: Fraction) -> None:
+        self._total += x
+
+    @property
+    def value(self) -> float:
+        return float(self._total)
+
+    @property
+    def raw(self) -> Fraction:
+        return self._total
+
 
 def to_fraction(x: Probability) -> Fraction:
     """Exact rational reading of a probability.
@@ -51,6 +73,19 @@ def to_fraction(x: Probability) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(str(x))
+
+
+def decimal_text(x: Fraction) -> Optional[str]:
+    """The exact finite decimal expansion of a nonnegative ``x``, or None.
+
+    A denominator 2^a 5^b needs max(a, b) < its bit length places.
+    """
+    places = x.denominator.bit_length()
+    scaled = x * 10**places
+    if scaled.denominator != 1:
+        return None
+    digits = str(scaled.numerator).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".")
 
 
 def clamp(x: Probability, lo: Probability, hi: Probability) -> Probability:

@@ -10,7 +10,7 @@ is provided for comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -32,7 +32,7 @@ from .estimators import (
     strata_variance,
 )
 from .graph import TerminalSet, UncertainGraph
-from .numerics import Probability, round_sig, to_fraction
+from .numerics import Probability, round_sig
 from .reduction import Decomposition, preprocess, undecomposed
 
 
@@ -132,10 +132,13 @@ def estimate_pipeline(
     """Full pipeline: preprocess, construct per part, combine by product.
 
     The most recent decomposition is reused when only the seed, the
-    estimator or the budgets change.
+    estimator or the budgets change.  Options are checked up front.
     """
+    config = BuildConfig(
+        width=w, samples=s, estimator=estimator, seed=seed,
+        precision=precision, width_cap=width_cap,
+    )
     t0 = time.perf_counter()
-    exact_mode = precision == "exact"
     deco = _decomposition(g, terminals, use_preprocess)
     t_pre = time.perf_counter() - t0
 
@@ -145,13 +148,8 @@ def estimate_pipeline(
     construct_time = 0.0
     sample_time = 0.0
     for idx, ((pg, pt), budget) in enumerate(zip(deco.parts, budgets)):
-        cfg = BuildConfig(
-            width=w,
-            samples=budget,
-            estimator=estimator,
-            seed=rngmod.derive_seed(seed, "part", idx),
-            precision=precision,
-            width_cap=width_cap,
+        cfg = replace(
+            config, samples=budget, seed=rngmod.derive_seed(seed, "part", idx)
         )
         rep = construct(pg, pt, cfg, trace=trace)
         parts.append(rep)
@@ -203,9 +201,9 @@ def estimate_pipeline(
             "total": time.perf_counter() - t0,
         },
     )
-    if exact_mode and deco.bridge_factor_exact is not None:
+    if precision == "exact":
         result.raw["bridge_factor"] = str(deco.bridge_factor_exact)
-        if all_exact and all("estimate" in rep.raw for rep in parts):
+        if all_exact:
             value = deco.bridge_factor_exact
             for rep in parts:
                 value *= Fraction(rep.raw["estimate"])
@@ -226,14 +224,9 @@ def exact_pipeline(
     parts are solved by the unbounded construction.
     """
     deco = preprocess(g, terminals)
-    if precision == "exact":
-        value: Probability = (
-            deco.bridge_factor_exact
-            if deco.bridge_factor_exact is not None
-            else to_fraction(deco.bridge_factor)
-        )
-    else:
-        value = deco.bridge_factor
+    value: Probability = (
+        deco.bridge_factor_exact if precision == "exact" else deco.bridge_factor
+    )
     for pg, pt in deco.parts:
         value = value * exact_reliability(
             pg, pt, width_cap=width_cap, precision=precision

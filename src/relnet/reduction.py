@@ -8,6 +8,10 @@ the k-terminal reliability:
              into independent parts whose reliabilities multiply (times the
              kept bridges' probabilities);
 * transform: collapse series chains and parallel edges.
+
+Both multiply exact values (``prob_values(True)``) in every precision; a
+part graph carries its exact values, and each float they compute is an
+exact value rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .graph import TerminalSet, UncertainGraph, _find, terminals_connected
 
@@ -89,19 +92,20 @@ def build_structure_index(g: UncertainGraph) -> StructureIndex:
 class Decomposition:
     """Bridge factor and the independent remaining parts.
 
-    Reliability of the original problem equals ``bridge_factor`` times the
-    product of the parts' reliabilities.
+    Reliability of the original problem equals the exact bridge factor times
+    the product of the parts' reliabilities; ``bridge_factor`` rounds it.
     """
 
-    bridge_factor: float
-    bridge_factor_exact: Optional[Fraction]
+    bridge_factor_exact: Fraction
     parts: tuple[tuple[UncertainGraph, TerminalSet], ...]
 
+    @property
+    def bridge_factor(self) -> float:
+        return float(self.bridge_factor_exact)
 
-def _unreliable(g: UncertainGraph) -> Decomposition:
-    """Reliability 0 and no parts: the terminals lie in different components."""
-    zero = Fraction(0) if g.exact_probs is not None else None
-    return Decomposition(bridge_factor=0.0, bridge_factor_exact=zero, parts=())
+
+# reliability 0 and no parts: the terminals lie in different components
+_UNRELIABLE = Decomposition(bridge_factor_exact=Fraction(0), parts=())
 
 
 def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
@@ -111,10 +115,10 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     the bridge tree.  Trimming its terminal-free leaves until none is left
     keeps exactly the bridges with terminals on both sides; any other bridge,
     and everything beyond it, cannot affect terminal connectivity.  Every
-    kept bridge must be up, so its probability joins the bridge factor
-    (multiplied in ascending edge index) and its endpoints become terminals
-    of their components.  A component with at least two terminals is a
-    part: vertices renumbered in ascending order, edges in input order.  A
+    kept bridge must be up, so its exact probability joins the bridge factor
+    and its endpoints become terminals of their components.  A component
+    with at least two terminals is a part: vertices renumbered in ascending
+    order, edges in input order with their floats and exact values.  A
     component with fewer is connected with probability 1.
 
     Parts come ordered by smallest original vertex, then stably by
@@ -153,7 +157,7 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     # the kept groups and bridges form a forest in which every tree holds a
     # terminal; it has one tree per kept group, less one per kept bridge
     if len(tree) - len(trimmed) - len(kept) > 1:
-        return _unreliable(g)
+        return _UNRELIABLE
 
     part_terms: dict[int, set[int]] = {}
     for t in terminals.vertices:
@@ -174,23 +178,19 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
         if j not in index.bridges and comp[u] in part_edges:
             part_edges[comp[u]].append(j)
 
-    has_exact = g.exact_probs is not None
+    exact = g.prob_values(True)
     parts: list[tuple[UncertainGraph, TerminalSet]] = []
     for c, js in part_edges.items():
         part_graph = UncertainGraph(
             n=len(members[c]),
             edges=tuple((local[g.edges[j][0]], local[g.edges[j][1]]) for j in js),
             probs=tuple(g.probs[j] for j in js),
-            exact_probs=tuple(g.exact_probs[j] for j in js) if has_exact else None,
+            exact_probs=tuple(exact[j] for j in js),
         )
         parts.append((part_graph, TerminalSet.of(local[t] for t in part_terms[c])))
     parts.sort(key=lambda pt: -pt[0].m)  # dominant cost first
     return Decomposition(
-        bridge_factor=math.prod((g.probs[j] for j in kept), start=1.0),
-        bridge_factor_exact=(
-            math.prod((g.exact_probs[j] for j in kept), start=Fraction(1))
-            if has_exact else None
-        ),
+        bridge_factor_exact=math.prod((exact[j] for j in kept), start=Fraction(1)),
         parts=tuple(parts),
     )
 
@@ -204,23 +204,17 @@ def transform(
 ) -> tuple[UncertainGraph, TerminalSet]:
     """Collapse series chains and parallel edges to a fixpoint.
 
-    Series: a non-terminal degree-2 vertex contracts, its two edge
+    Series: a non-terminal degree-2 vertex contracts, its two edges' exact
     probabilities multiplying, unless the replacement edge would duplicate an
     existing one (the parallel rule then merges them on the next sweep).
     Parallel: duplicate edges merge with complement-product probability.
     Every rule application removes at least one edge, so the loop terminates.
     """
     terminals.validate(g)
-    has_exact = g.exact_probs is not None
     edges = list(g.edges)
-    probs: list[Fraction | float] = (
-        list(g.exact_probs) if has_exact else list(g.probs)
-    )
+    probs: list[Fraction] = list(g.prob_values(True))  # type: ignore[arg-type]
     terms = set(terminals.vertices)
     alive = [True] * len(edges)
-
-    def one() -> Fraction | float:
-        return Fraction(1) if has_exact else 1.0
 
     changed = True
     while changed:
@@ -236,7 +230,7 @@ def transform(
             if prev is None:
                 by_pair[key] = j
             else:
-                probs[prev] = one() - (one() - probs[prev]) * (one() - probs[j])
+                probs[prev] = 1 - (1 - probs[prev]) * (1 - probs[j])
                 alive[j] = False
                 changed = True
 
@@ -276,16 +270,12 @@ def transform(
     final_probs = [probs[j] for j in range(len(edges)) if alive[j]]
     used = sorted({v for e in final_edges for v in e} | terms)
     remap = {v: i for i, v in enumerate(used)}
-    out_edges = tuple((remap[u], remap[v]) for u, v in final_edges)
-    if has_exact:
-        out = UncertainGraph(
-            n=len(used),
-            edges=out_edges,
-            probs=tuple(float(p) for p in final_probs),
-            exact_probs=tuple(final_probs),  # type: ignore[arg-type]
-        )
-    else:
-        out = UncertainGraph(n=len(used), edges=out_edges, probs=tuple(final_probs))
+    out = UncertainGraph(
+        n=len(used),
+        edges=tuple((remap[u], remap[v]) for u, v in final_edges),
+        probs=tuple(float(p) for p in final_probs),
+        exact_probs=tuple(final_probs),
+    )
     return out, TerminalSet.of(remap[t] for t in terms)
 
 
@@ -299,11 +289,8 @@ def undecomposed(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     Terminals in different components give reliability 0 and no parts.
     """
     if not terminals_connected(g, (1 << g.m) - 1, terminals):
-        return _unreliable(g)
-    one = Fraction(1) if g.exact_probs is not None else None
-    return Decomposition(
-        bridge_factor=1.0, bridge_factor_exact=one, parts=((g, terminals),)
-    )
+        return _UNRELIABLE
+    return Decomposition(bridge_factor_exact=Fraction(1), parts=((g, terminals),))
 
 
 def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
@@ -315,15 +302,12 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     terminates.  Terminals in different components give reliability 0 and
     no parts, as the first round finds.
     """
-    pb = 1.0
-    pb_exact = Fraction(1) if g.exact_probs is not None else None
+    pb = Fraction(1)
     final: list[tuple[UncertainGraph, TerminalSet]] = []
     work: list[tuple[UncertainGraph, TerminalSet]] = [(g, terminals)]
     while work:
         deco = decompose(*work.pop())
-        pb *= deco.bridge_factor
-        if pb_exact is not None:
-            pb_exact *= deco.bridge_factor_exact
+        pb *= deco.bridge_factor_exact
         for part_g, part_t in deco.parts:
             tg, tt = transform(part_g, part_t)
             if tg.m < part_g.m:
@@ -331,6 +315,4 @@ def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
             else:
                 final.append((tg, tt))
     final.sort(key=lambda pt: -pt[0].m)
-    return Decomposition(
-        bridge_factor=pb, bridge_factor_exact=pb_exact, parts=tuple(final)
-    )
+    return Decomposition(bridge_factor_exact=pb, parts=tuple(final))

@@ -199,6 +199,21 @@ class TestPreprocessCmd:
             assert (out_dir / meta["path"]).exists()
             assert len(meta["terminals"]) >= 2
 
+    def test_part_files_reload_with_exact_probabilities(self, tmp_path, capsys):
+        # reduction's exact products need more digits than a float's repr
+        from relnet.graph import TerminalSet, load_graph
+        from relnet.reduction import preprocess
+
+        karate = DATA_DIR / "karate.edges"
+        out_dir = tmp_path / "parts"
+        assert run(["preprocess", "--graph", str(karate), "--terminals",
+                    "6,7,9,18,27", "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        deco = preprocess(load_graph(karate), TerminalSet.of([6, 7, 9, 18, 27]))
+        assert len(manifest["parts"]) == len(deco.parts) > 0
+        for meta, (pg, _) in zip(manifest["parts"], deco.parts):
+            assert load_graph(out_dir / meta["path"]) == pg
+
 
 class TestGen:
     def test_grid_file(self, tmp_path):
@@ -216,6 +231,12 @@ class TestGen:
             assert run(["gen", "--kind", "random", "--n", "12", "--m", "20",
                         "--seed", "5", "--out", str(f)]) == 0
         assert a.read_text() == b.read_text()
+        # a generated float reads back as itself, so the file holds its repr
+        from relnet.generate import random_connected_graph
+
+        g = random_connected_graph(12, 20, seed=5)
+        lines = [x for x in a.read_text().splitlines() if not x.startswith("#")]
+        assert lines == [f"{u} {v} {p!r}" for (u, v), p in zip(g.edges, g.probs)]
 
     def test_log_degree_probabilities(self, tmp_path):
         out = tmp_path / "g.edges"

@@ -13,7 +13,6 @@ from relnet.diagram import (
     WidthCapExceeded,
     _apply_both,
     _make_step,
-    _MassAccumulator,
     _build,
     construct,
     exact_reliability,
@@ -40,6 +39,7 @@ from relnet.graph import (
     terminals_connected,
 )
 from relnet.generate import grid_graph, random_terminals, tree_rich_graph
+from relnet.numerics import KahanSum
 from conftest import naive_reliability, small_case
 
 
@@ -124,7 +124,7 @@ def _child(res):
 
 def _expand(g, t, layer, nodes):
     """One real construction step: (next layer, p_c, p_d)."""
-    p_c, p_d = _MassAccumulator(False), _MassAccumulator(False)
+    p_c, p_d = KahanSum(), KahanSum()
     step = _make_step(g, order_edges(g, t), layer, t)
     nxt, _ = expand_layer(nodes, step, g.probs[step.edge_index], t.k, p_c, p_d)
     return nxt, p_c.value, p_d.value

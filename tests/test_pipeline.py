@@ -1,5 +1,6 @@
 import statistics
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from relnet.pipeline import (
 )
 from relnet.generate import random_connected_graph, random_terminals
 from relnet.graph import TerminalSet, UncertainGraph, load_graph, parse_graph
+from relnet.reduction import preprocess
 from conftest import DATA_DIR, small_case
 
 
@@ -64,6 +66,20 @@ class TestEstimatePipeline:
             sd = statistics.stdev(values)
             se = sd / len(values) ** 0.5
             assert abs(mean - ref) <= 3 * se + 1e-9
+
+    @pytest.mark.parametrize("text", [
+        "0 1 0.5\n1 2 0.5",  # both edges are bridges
+        "0 1 0.5\n1 2 0.5\n0 2 0.5",  # collapses to a bridge
+    ], ids=["path", "triangle"])
+    @pytest.mark.parametrize("option", [
+        {"s": -5}, {"w": 0}, {"estimator": "bogus"}, {"precision": "fuzzy"},
+    ], ids=["s", "w", "estimator", "precision"])
+    def test_options_are_checked_when_no_part_is_left(self, text, option):
+        g = parse_graph(text)
+        t = TerminalSet.of([0, 2])
+        assert preprocess(g, t).parts == ()
+        with pytest.raises(ValueError):
+            estimate_pipeline(g, t, **{"s": 10, "w": 4, **option})
 
     def test_samples_within_request(self):
         for seed in range(8):
@@ -177,7 +193,36 @@ class TestDecompositionReuse:
         assert reduced.part_shapes != whole.part_shapes
 
 
+@lru_cache(maxsize=1)
+def _float_only_corpus():
+    """Graphs made from floats alone, with their exact brute-force values.
+
+    A triangle whose reduction merges 0.1 * 0.1 with 0.1, and 200 random
+    graphs with 9 vertices and 13 edges, three terminals each.
+    """
+    cases = [(UncertainGraph(3, ((0, 1), (1, 2), (0, 2)), (0.1, 0.1, 0.1)),
+              TerminalSet.of([0, 2]))]
+    for seed in range(200):
+        g = random_connected_graph(9, 13, seed=seed)
+        cases.append((g, random_terminals(g, 3, seed=seed)))
+    return [
+        (g, t, brute_force_reliability(g, t, exact=True).reliability)
+        for g, t in cases
+    ]
+
+
 class TestExactPipeline:
+    def test_exact_precision_matches_brute_force_on_float_graphs(self):
+        # reduction multiplies the floats' exact readings, not the floats
+        assert _float_only_corpus()[0][2] == Fraction(109, 1000)
+        for g, t, ref in _float_only_corpus():
+            assert exact_pipeline(g, t, precision="exact") == ref
+
+    def test_exact_estimate_matches_brute_force_on_float_graphs(self):
+        for g, t, ref in _float_only_corpus():
+            res = estimate_pipeline(g, t, s=10, w=None, precision="exact")
+            assert Fraction(res.raw["estimate"]) == ref
+
     def test_matches_brute_force(self):
         for seed in range(15):
             g, t = small_case(seed, max_edges=13)

@@ -123,12 +123,12 @@ class TestDecompose:
             g = parse_graph(text, require_connected=False)
             t = TerminalSet.of(terms)
             assert decompose(g, t) == undecomposed(g, t)
-            assert decompose(g, t) == Decomposition(0.0, Fraction(0), ())
+            assert decompose(g, t) == Decomposition(Fraction(0), ())
             float_only = UncertainGraph(g.n, g.edges, g.probs)
-            assert decompose(float_only, t) == Decomposition(0.0, None, ())
+            assert decompose(float_only, t) == Decomposition(Fraction(0), ())
         # a terminal with no edges at all
         g = UncertainGraph(4, ((0, 1), (1, 2)), (0.5, 0.5))
-        assert decompose(g, TerminalSet.of([0, 3])) == Decomposition(0.0, None, ())
+        assert decompose(g, TerminalSet.of([0, 3])) == Decomposition(Fraction(0), ())
 
     def test_bridgeless_graph_single_part(self):
         g = parse_graph("0 1 0.5\n1 2 0.5\n2 0 0.5")
