@@ -209,6 +209,10 @@ def _load_inputs(args) -> tuple[UncertainGraph, TerminalSet]:
 def cmd_estimate(args) -> int:
     if args.no_bdd and args.trace:
         raise UsageError("--trace needs the diagram's layers; --no-bdd has none")
+    if args.no_bdd and args.precision == "exact":
+        raise UsageError(
+            "--precision exact needs the diagram's bounds; --no-bdd draws floats only"
+        )
     g, terminals = _load_inputs(args)
     trace_rows: Optional[list] = [] if args.trace else None
     if args.no_bdd:

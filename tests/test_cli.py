@@ -92,6 +92,13 @@ class TestEstimate:
                     "--no-bdd", "--trace", str(trace), "--output", str(out)]) == 2
         assert not trace.exists() and not out.exists()
 
+    def test_exact_precision_with_no_bdd_is_usage_error(self, grid_file, tmp_path):
+        # the plain baseline is a float sample mean with no exact reading
+        out = tmp_path / "r.json"
+        assert run(["estimate", "--graph", str(grid_file), "--terminals", "0,8",
+                    "--no-bdd", "--precision", "exact", "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_timings_flag_adds_section(self, path_graph_file, tmp_path):
         out = tmp_path / "rep.json"
         assert run(["estimate", "--graph", str(path_graph_file),

@@ -1,4 +1,5 @@
 import json
+import random
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -38,7 +39,12 @@ from relnet.graph import (
     sample_possible_graph,
     terminals_connected,
 )
-from relnet.generate import grid_graph, random_terminals, tree_rich_graph
+from relnet.generate import (
+    grid_graph,
+    random_connected_graph,
+    random_terminals,
+    tree_rich_graph,
+)
 from relnet.numerics import KahanSum
 from conftest import naive_reliability, small_case
 
@@ -476,6 +482,80 @@ class TestSamplerMatchesQuotientSampling:
         g = grid_graph(10, 10, seed=0)
         t = TerminalSet.of([0, 55, 99])
         assert self._check_build_and_root(g, t, 100, 10000, 1) > 0
+
+    def _check_long_suffixes(self, monkeypatch, g, t, w, s, seed):
+        """Per stratum: the MC stream ends where the reference's does.
+
+        Returns the reference's and the MC sampler's ``random()`` calls,
+        summed over the build's strata and its root.
+        """
+        streams = []
+
+        def counting(root, *path):
+            streams.append(_CountingRandom(rngmod.derive_seed(root, *path)))
+            return streams[-1]
+
+        monkeypatch.setattr(rngmod, "stream", counting)
+        build = _build(g, t, w, s, "double", None)
+        strata = [*build.strata, (0, "deleted", [ROOT], (1.0,), 1.0, 300)]
+        calls = [0, 0]
+        for layer, kind, nodes, cum, mass, draws in strata:
+            streams.clear()
+            self._check(g, t, build.eo, layer, kind, nodes, cum, mass, draws, seed)
+            ref, mc, ht = streams
+            assert mc.getstate() == ref.getstate() == ht.getstate()
+            assert mc.calls <= ref.calls == ht.calls
+            calls[0] += ref.calls
+            calls[1] += mc.calls
+        return calls
+
+    def test_long_suffix_early_failures(self, monkeypatch):
+        # most draws on a long grid break a path early
+        g = grid_graph(4, 40, seed=2)
+        t = TerminalSet.of([0, 79, 159])
+        ref, mc = self._check_long_suffixes(monkeypatch, g, t, 8, 2000, 3)
+        assert mc < ref / 2
+
+    def test_long_suffix_early_successes(self, monkeypatch):
+        # most draws on a dense reliable graph join the terminals early; the
+        # parallel edges keep the frontier narrow and the suffix long
+        g = random_connected_graph(12, 200, seed=5, lo=0.8, hi=0.99,
+                                   allow_parallel=True)
+        t = random_terminals(g, 4, seed=5)
+        ref, mc = self._check_long_suffixes(monkeypatch, g, t, 8, 2000, 4)
+        assert mc < ref / 2
+
+    def test_long_suffix_unreached_terminal_stays_live(self, monkeypatch):
+        # the ladder's far terminal is unreached at the early checkpoints:
+        # its one-vertex component is not closed, and a third of the draws
+        # join it
+        g = grid_graph(2, 30, seed=1, probs="log-degree")
+        t = TerminalSet.of([0, 59])
+        ref, mc = self._check_long_suffixes(monkeypatch, g, t, 8, 2000, 4)
+        assert mc < ref
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 311, 312, 313, 624, 625, 1000, 2500])
+def test_stream_skip_matches_random_calls(n):
+    # an MC draw decided early passes its stream over the edges it leaves
+    # with one getrandbits(64 * n); later draws rely on it reading exactly
+    # the words of n random() calls
+    skipped = random.Random(n)
+    skipped.getrandbits(64 * n)
+    drawn = random.Random(n)
+    for _ in range(n):
+        drawn.random()
+    assert skipped.getstate() == drawn.getstate()
 
 
 def _conditional_reliability(g, eo, t, decided):
