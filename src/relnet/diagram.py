@@ -11,12 +11,13 @@ resident at a time.
 
 When a layer outgrows the configured width, the lowest-priority nodes are
 deleted and become sampling strata.  A stratum's nodes share the layer's
-undecided edges, a suffix of the order's edge table.  Each draw completes one
-node with a union-find over vertex ids, taking the suffix minus the edges
-internal to the node's components.  An MC draw stops at the first checkpoint
-where its outcome is decided and passes its random stream over the edges it
-leaves, so it draws what a full pass would.  The final estimate combines the
-bounds with the per-stratum draws.
+undecided edges, a suffix of the order's edge table, and draw all of it.
+Each draw completes one node with a union-find over vertex ids that starts
+with the node's components joined; an edge inside a component joins nothing.
+An MC draw stops at the first checkpoint where its outcome is decided and
+passes its random stream over the edges it leaves, so it draws what a full
+pass would.  The final estimate combines the bounds with the per-stratum
+draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, deleted nodes with their running mass sums, per-layer
@@ -336,91 +337,49 @@ def stratum_quotient(
 
     The quotient has one vertex per live component plus one per vertex not
     yet reached by the ordering; its edges are the undecided edges of the
-    original graph, taken from the order's edge table.  All completions of
-    the node connect the terminals iff the corresponding quotient realization
+    original graph, taken from the order's edge table, less those inside one
+    component, which would be self-loops.  All completions of the node
+    connect the terminals iff the corresponding quotient realization
     connects every terminal-bearing component and every unreached terminal.
-    :func:`sample_group_stratum` draws from this graph without building it.
+    :func:`sample_group_stratum` draws the same connectivity without building
+    this graph: it also draws the internal edges, which join nothing.
     """
     unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
-    parents, cuts, targets = _node_pass(
-        g.n, eo, layer, node, unreached, _chords(eo, layer)
-    )
-    kept = _cut(eo.edges, layer, g.m, cuts)
+    parents, targets = _node_pass(g.n, eo, layer, node, unreached)
     # components in frontier order, then the unreached terminals, then the
-    # other unreached vertices as the kept edges reach them
+    # other unreached vertices as the quotient's edges reach them
     ids: dict[int, int] = {}
     for x in (*eo.frontiers[layer], *unreached):
         ids.setdefault(parents[x], len(ids))
     qedges = []
-    for a, b, _, _ in kept:
-        mu = ids.setdefault(parents[a], len(ids))
-        qedges.append((mu, ids.setdefault(parents[b], len(ids))))
-    quotient = UncertainGraph(
-        n=len(ids), edges=tuple(qedges), probs=tuple(e[2] for e in kept)
-    )
+    qprobs = []
+    for a, b, p, _ in eo.edges[layer:]:
+        a, b = parents[a], parents[b]
+        if a != b:
+            mu = ids.setdefault(a, len(ids))
+            qedges.append((mu, ids.setdefault(b, len(ids))))
+            qprobs.append(p)
+    quotient = UncertainGraph(n=len(ids), edges=tuple(qedges), probs=tuple(qprobs))
     return quotient, TerminalSet.of(ids[x] for x in targets)
 
 
-def _chords(eo: EdgeOrder, layer: int) -> tuple[tuple[int, int, int], ...]:
-    """The undecided edges at ``layer`` with both endpoints on its frontier.
-
-    Only these chords can join two vertices of one node component.  Each is
-    (position, i, j), i < j indexing its endpoints in ``eo.frontiers[layer]``;
-    they come in position order.
-    """
-    front = eo.frontiers[layer]
-    index = {x: i for i, x in enumerate(front)}
-    edges = eo.edges
-    chords = []
-    for i, x in enumerate(front):
-        inc = eo.incident_positions[x]
-        for pos in inc[bisect_left(inc, layer):]:
-            a, b = edges[pos][:2]
-            j = index.get(b if a == x else a, -1)
-            if j > i:
-                chords.append((pos, i, j))
-    chords.sort()
-    return tuple(chords)
-
-
 def _node_pass(
-    n: int,
-    eo: EdgeOrder,
-    layer: int,
-    node: Node,
-    unreached: Sequence[int],
-    chords: Sequence[tuple[int, int, int]],
-) -> tuple[list[int], list[int], list[int]]:
-    """A node's union-find parents, cut positions and targets over vertex ids.
+    n: int, eo: EdgeOrder, layer: int, node: Node, unreached: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """A node's union-find parents and targets over vertex ids.
 
-    ``n`` is the graph's vertex count and ``chords`` are the layer's
-    :func:`_chords`.  Each frontier vertex starts under the first frontier
-    vertex of its component and every other vertex under itself.  The cuts
-    are the positions of the chords internal to a component; the node's kept
-    edges, the quotient's edges in its order, are ``eo.edges[layer:]``
-    without them.  The targets are one vertex per terminal-bearing component
-    plus the ``unreached`` terminals.
+    ``n`` is the graph's vertex count.  Each frontier vertex starts under
+    the first frontier vertex of its component and every other vertex under
+    itself, so every parent is a root.  The targets are one vertex per
+    terminal-bearing component plus the ``unreached`` terminals.
     """
-    comp = node.comp
     first: dict[int, int] = {}
     parents = list(range(n))
-    for x, c in zip(eo.frontiers[layer], comp):
+    for x, c in zip(eo.frontiers[layer], node.comp):
         parents[x] = first.setdefault(c, x)
-    cuts = [pos for pos, i, j in chords if comp[i] == comp[j]]
     targets = [first[c] for c, tc in enumerate(node.t) if tc > 0]
     targets.extend(unreached)
-    return parents, cuts, targets
-
-
-def _cut(edges: Sequence, lo: int, hi: int, cuts: Sequence[int]) -> list:
-    """``edges[lo:hi]`` without the positions in ``cuts`` (sorted)."""
-    kept: list = []
-    for pos in cuts:
-        if lo <= pos < hi:
-            kept += edges[lo:pos]
-            lo = pos + 1
-    kept += edges[lo:hi]
-    return kept
+    return parents, targets
 
 
 CHECK_SPACING = 8  # suffix edges between two checks, per root find a check takes
@@ -434,7 +393,7 @@ def _checkpoints(
     Returns (lo, hi, check) in position order, covering ``layer`` to the
     end.  A stretch is ``CHECK_SPACING`` times (k + frontier at lo) edges
     long, and the last one, whose check is None, is as long or longer.
-    Otherwise the check, made once every kept edge before hi is drawn, is
+    Otherwise the check, made once every suffix edge before hi is drawn, is
     (live, rest): ``eo.frontiers[hi]`` plus the ``unreached`` terminals
     still unreached at hi, and the count of suffix edges from hi on.  A
     target whose root is no live vertex's root is in a component with no
@@ -457,28 +416,6 @@ def _checkpoints(
     return plan
 
 
-def _node_segments(
-    edges: Sequence, plan: Sequence[tuple], shared: list, cuts: Sequence[int]
-) -> list:
-    """A node's (edges, check) segments: the stratum's, less its cuts.
-
-    ``shared`` pairs each stretch of ``plan`` with its edges and check.  Only
-    the stretches up to the last cut change; each of their checks counts
-    one edge fewer left per cut at or after its position.
-    """
-    if not cuts:
-        return shared
-    segments = []
-    for lo, hi, check in plan:
-        if lo > cuts[-1]:
-            break
-        if check is not None:
-            live, rest = check
-            check = (live, rest - (len(cuts) - bisect_left(cuts, hi)))
-        segments.append((_cut(edges, lo, hi, cuts), check))
-    return segments + shared[len(segments):]
-
-
 def sample_group_stratum(
     g: UncertainGraph,
     eo: EdgeOrder,
@@ -492,7 +429,6 @@ def sample_group_stratum(
     seed: int = 0,
     kind: str,
     want_outcomes: bool = False,
-    chords: Optional[Sequence[tuple[int, int, int]]] = None,
 ) -> StratumDraw:
     """Sample a pooled group of same-layer nodes as one stratum.
 
@@ -501,26 +437,27 @@ def sample_group_stratum(
     budget individually), then completes the node over the layer's undecided
     suffix.  ``cum`` holds the running float sums of the node masses, in
     node order, as :func:`_build` stores them; the node is found by
-    bisecting it.  ``chords`` are the layer's :func:`_chords`, which
-    :func:`_build` stores with the stratum; they are computed when absent.
+    bisecting it.
 
-    The unreached terminals and the checkpoints are found once per stratum;
-    a node hit for the first time caches its union-find parents over vertex
-    ids, its kept edges (the suffix less its internal chords, split at the
-    checkpoints for MC) and its target vertices.  A draw takes one ``random()`` per kept edge, in order, joining
-    the endpoints of every edge drawn.  An MC draw stops at the first
+    Every node draws the same edges: the whole suffix, split once per
+    stratum at the checkpoints, which are found with the unreached
+    terminals.  A node hit for the first time caches its union-find parents
+    over vertex ids, where each of its components is already joined, and its
+    target vertices.  A draw takes one ``random()`` per suffix edge, in
+    order, joining the endpoints of every edge drawn; an edge inside one
+    component joins nothing, so the draw connects what sampling
+    :func:`stratum_quotient` would.  An MC draw stops at the first
     checkpoint (see :func:`_checkpoints`) that decides it: all targets share
     one root, or a target's component has no undecided edge left.  It then
-    passes the stream over the ``rest`` kept edges it leaves with one
+    passes the stream over the ``rest`` suffix edges it leaves with one
     ``getrandbits(64 * rest)``, which reads the same 32-bit words as
-    ``rest`` calls of ``random()``.  This draws exactly what sampling
-    :func:`stratum_quotient` would.
+    ``rest`` calls of ``random()``.
 
     The stratum draws from its own stream, named by its layer and ``kind``:
     a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
-    An HT draw takes every kept edge: its outcome is keyed by the node's
-    index in ``nodes`` and the edge mask drawn, and its probability
-    multiplies the edge factors in edge order, as
+    An HT draw takes every suffix edge: its outcome is keyed by the node's
+    index in ``nodes`` and the suffix mask drawn, and its probability is the
+    node's mass share times the edge factors multiplied in edge order, as
     :func:`assignment_probability` does.
     """
     rng = rngmod.stream(seed, "layer", layer, kind)
@@ -528,14 +465,12 @@ def sample_group_stratum(
     skip = rng.getrandbits
     total = cum[-1]
     edges = eo.edges
-    m = len(edges)
-    if chords is None:
-        chords = _chords(eo, layer)
     unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
-    if not want_outcomes:
-        plan = _checkpoints(eo, layer, terminals.k, unreached)
-        shared = [(edges[lo:hi], check) for lo, hi, check in plan]
-    cache: dict[int, tuple[list[int], Sequence, list[int]]] = {}
+    segments = [
+        (edges[lo:hi], check)
+        for lo, hi, check in _checkpoints(eo, layer, terminals.k, unreached)
+    ]
+    cache: dict[int, tuple[list[int], list[int]]] = {}
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
     for _ in range(draws):
@@ -544,36 +479,30 @@ def sample_group_stratum(
             i = len(nodes) - 1
         entry = cache.get(i)
         if entry is None:
-            parents, cuts, targets = _node_pass(
-                g.n, eo, layer, nodes[i], unreached, chords
-            )
-            if want_outcomes:
-                kept = _cut(edges, layer, m, cuts)
-            else:
-                kept = _node_segments(edges, plan, shared, cuts)
-            entry = cache[i] = (parents, kept, targets)
-        parents, kept, targets = entry
+            entry = cache[i] = _node_pass(g.n, eo, layer, nodes[i], unreached)
+        parents, targets = entry
         parent = parents[:]
         if want_outcomes:
             mask = 0
             bit = 1
             q = 1.0
-            for a, b, p, p_off in kept:
-                if rnd() < p:
-                    mask |= bit
-                    q *= p
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    parent[b] = a
-                else:
-                    q *= p_off
-                bit <<= 1
+            for seg, _ in segments:
+                for a, b, p, p_off in seg:
+                    if rnd() < p:
+                        mask |= bit
+                        q *= p
+                        while parent[a] != a:
+                            parent[a] = parent[parent[a]]
+                            a = parent[a]
+                        while parent[b] != b:
+                            parent[b] = parent[parent[b]]
+                            b = parent[b]
+                        parent[b] = a
+                    else:
+                        q *= p_off
+                    bit <<= 1
         else:
-            for seg, check in kept:
+            for seg, check in segments:
                 for a, b, p, _ in seg:
                     if rnd() < p:
                         while parent[a] != a:
@@ -688,15 +617,13 @@ class _Build:
     ``strata`` lists the node groups that get draws, as (layer, kind, nodes,
     cum, mass, draws), ``cum`` being the running float sums of the node
     masses that :func:`sample_group_stratum` bisects; groups with no draws
-    are already in ``residual``.  ``chords`` holds each stratum's
-    :func:`_chords`, in the order of ``strata``.  ``reduced`` is the budget
-    reduced by the final bounds.  The nodes are shared by every sampling pass and must not
+    are already in ``residual``.  ``reduced`` is the budget reduced by the
+    final bounds.  The nodes are shared by every sampling pass and must not
     be mutated; ``rows`` are the trace rows, copied out to each caller.
     """
 
     eo: EdgeOrder
     strata: tuple[_Stratum, ...]
-    chords: tuple[tuple[tuple[int, int, int], ...], ...]
     p_c: Probability
     p_d: Probability
     bounds: Bounds
@@ -737,7 +664,6 @@ def _build(
     p_d = mass_sum()
     layer_nodes: list[Node] = [Node(one, (), ())]
     strata: list[_Stratum] = []
-    chords: list[tuple[tuple[int, int, int], ...]] = []
     rows: list[dict] = []
     unsampled_mass = KahanSum()
     drawn = 0
@@ -772,7 +698,6 @@ def _build(
             return 0
         cum = tuple(accumulate(float(nd.p) for nd in nodes))
         strata.append((layer, kind, tuple(nodes), cum, mass, draws))
-        chords.append(_chords(eo, layer))
         drawn += draws
         return draws
 
@@ -831,7 +756,6 @@ def _build(
     return _Build(
         eo=eo,
         strata=tuple(strata),
-        chords=tuple(chords),
         p_c=p_c.raw,
         p_d=p_d.raw,
         bounds=current_bounds(),
@@ -872,10 +796,8 @@ def construct(
         sample_group_stratum(
             g, build.eo, layer, terminals, nodes, cum, mass, draws,
             seed=config.seed, kind=kind, want_outcomes=want_outcomes,
-            chords=chords,
         )
-        for (layer, kind, nodes, cum, mass, draws), chords
-        in zip(build.strata, build.chords)
+        for layer, kind, nodes, cum, mass, draws in build.strata
     ]
 
     t_est = time.perf_counter()

@@ -257,6 +257,8 @@ def plain_sample_estimate(
     terminals.validate(g)
     if s < 1:
         raise ValueError("sample count must be >= 1")
+    if estimator not in ("mc", "ht"):
+        raise ValueError("estimator must be 'mc' or 'ht'")
     t0 = time.perf_counter()
     strata = [
         sample_group_stratum(

@@ -300,7 +300,8 @@ class TestErrorPaths:
         assert run(["nonsense"]) == 2
 
     def test_invalid_k_is_usage_error(self, path_graph_file):
-        assert run(["bench", "--graph", str(path_graph_file), "--k", "1"]) == 2
+        for k in ("1", "1000"):
+            assert run(["bench", "--graph", str(path_graph_file), "--k", k]) == 2, k
 
     def test_bench_bad_budget_or_width_is_usage_error(self, path_graph_file):
         base = ["bench", "--graph", str(path_graph_file), "--k", "2",
@@ -317,6 +318,7 @@ class TestErrorPaths:
             ["bench", *missing, "--q2", "0"],
             ["bench", *missing, "--s", "0"],
             ["bench", *missing, "--w", "-1"],
+            ["bench", *missing, "--k", "1"],
         ):
             assert run(argv) == 2, argv
 

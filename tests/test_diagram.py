@@ -34,6 +34,7 @@ from relnet.estimators import (
 from relnet.exact import brute_force_reliability
 from relnet.graph import (
     TerminalSet,
+    UncertainGraph,
     assignment_probability,
     parse_graph,
     sample_possible_graph,
@@ -417,14 +418,40 @@ class TestStratumQuotient:
             )
 
 
-def _reference_stratum(g, eo, layer, t, nodes, draws, seed, kind):
-    """Draw a stratum by sampling each hit node's quotient graph.
+def _suffix_graph(g, eo, layer):
+    """The undecided edges at ``layer`` as a graph on the original vertex ids."""
+    suffix = eo.edges[layer:]
+    return UncertainGraph(
+        n=g.n, edges=tuple(e[:2] for e in suffix), probs=tuple(e[2] for e in suffix)
+    )
 
-    Returns (successes, HT outcome records), drawn from the stream the
-    sampler uses: a node picked by bisecting the cumulative masses, then a
-    possible graph of its quotient, its connectivity and its probability.
+
+def _crossing_bits(eo, layer, node):
+    """Suffix mask bits of the edges not inside one of the node's components."""
+    comp = dict(zip(eo.frontiers[layer], node.comp))
+    return [
+        bit for bit, (a, b, _, _) in enumerate(eo.edges[layer:])
+        if not (a in comp and b in comp and comp[a] == comp[b])
+    ]
+
+
+def _quotient_mask(mask, bits):
+    """The quotient's edge mask: the suffix ``mask`` read at ``bits``."""
+    return sum(1 << i for i, bit in enumerate(bits) if mask >> bit & 1)
+
+
+def _reference_stratum(g, eo, layer, t, nodes, draws, seed, kind):
+    """Draw a stratum by sampling the suffix graph for each picked node.
+
+    Returns (successes, HT outcome records, hit nodes with an internal
+    edge), drawn from the stream the sampler uses: a node picked by
+    bisecting the cumulative masses, then a possible graph of the suffix.
+    Connectivity is read off the node's quotient, which keeps the suffix
+    edges not inside a component, in order; the probability is the node's
+    mass share times the suffix mask's.
     """
     rng = rngmod.stream(seed, "layer", layer, kind)
+    suffix = _suffix_graph(g, eo, layer)
     masses = [float(nd.p) for nd in nodes]
     cum = list(accumulate(masses))
     total = cum[-1]
@@ -434,22 +461,32 @@ def _reference_stratum(g, eo, layer, t, nodes, draws, seed, kind):
     for _ in range(draws):
         i = min(bisect_right(cum, rng.random() * total), len(nodes) - 1)
         if i not in quotients:
-            quotients[i] = stratum_quotient(g, eo, layer, nodes[i], t)
-        quotient, qterms = quotients[i]
-        mask = sample_possible_graph(quotient, rng)
-        ok = terminals_connected(quotient, mask, qterms)
+            quotient, qterms = stratum_quotient(g, eo, layer, nodes[i], t)
+            bits = _crossing_bits(eo, layer, nodes[i])
+            assert len(bits) == quotient.m
+            quotients[i] = quotient, qterms, bits
+        quotient, qterms, bits = quotients[i]
+        mask = sample_possible_graph(suffix, rng)
+        ok = terminals_connected(quotient, _quotient_mask(mask, bits), qterms)
         successes += ok
-        q = (masses[i] / total) * assignment_probability(quotient, mask)
+        q = (masses[i] / total) * assignment_probability(suffix, mask)
         outcomes.append(((i, mask), q, ok))
-    return successes, outcomes
+    chorded = sum(len(bits) < suffix.m for _, _, bits in quotients.values())
+    return successes, outcomes, chorded
 
 
 class TestSamplerMatchesQuotientSampling:
-    """The suffix sampler draws exactly what sampling the quotients draws."""
+    """The sampler draws exactly what the reference draws from the suffix.
+
+    The reference reads connectivity off each node's quotient.  Each corpus
+    must hit nodes with an edge inside one of their components, which the
+    quotient leaves out and the sampler draws without joining anything.
+    """
 
     @staticmethod
     def _check(g, t, eo, layer, kind, nodes, cum, mass, draws, seed):
-        successes, outcomes = _reference_stratum(
+        """Returns the hit nodes with an internal suffix edge."""
+        successes, outcomes, chorded = _reference_stratum(
             g, eo, layer, t, nodes, draws, seed, kind
         )
         mc = sample_group_stratum(g, eo, layer, t, nodes, cum, mass, draws,
@@ -458,30 +495,39 @@ class TestSamplerMatchesQuotientSampling:
                                   seed=seed, kind=kind, want_outcomes=True)
         assert mc.successes == ht.successes == successes
         assert ht.outcomes == outcomes
+        return chorded
 
     def _check_build_and_root(self, g, t, w, s, seed):
+        """Returns the build's strata and their hit nodes with an internal edge."""
         build = _build(g, t, w, s, "double", None)
-        for layer, kind, nodes, cum, mass, draws in build.strata:
+        chorded = sum(
             self._check(g, t, build.eo, layer, kind, nodes, cum, mass, draws, seed)
+            for layer, kind, nodes, cum, mass, draws in build.strata
+        )
         self._check(g, t, build.eo, 0, "deleted", [ROOT], (1.0,), 1.0, 300, seed)
-        return len(build.strata)
+        return len(build.strata), chorded
 
     def test_small_cases(self):
-        strata = 0
+        strata = chorded = 0
         for seed in range(60):
             g, t = small_case(seed)
             for w in (1, 2, 4, 16):
-                strata += self._check_build_and_root(g, t, w, 200, seed)
+                n, c = self._check_build_and_root(g, t, w, 200, seed)
+                strata += n
+                chorded += c
         assert strata > 300
+        assert chorded > 0
 
     def test_karate(self, karate_graph):
         t = TerminalSet.of([6, 7, 9, 18, 27])
-        assert self._check_build_and_root(karate_graph, t, 100, 10000, 0) > 0
+        strata, chorded = self._check_build_and_root(karate_graph, t, 100, 10000, 0)
+        assert strata > 0 and chorded > 0
 
     def test_grid(self):
         g = grid_graph(10, 10, seed=0)
         t = TerminalSet.of([0, 55, 99])
-        assert self._check_build_and_root(g, t, 100, 10000, 1) > 0
+        strata, chorded = self._check_build_and_root(g, t, 100, 10000, 1)
+        assert strata > 0 and chorded > 0
 
     def _check_long_suffixes(self, monkeypatch, g, t, w, s, seed):
         """Per stratum: the MC stream ends where the reference's does.
@@ -590,8 +636,6 @@ class TestConstruct:
     def test_edgeless_graph_reads_zero(self):
         from fractions import Fraction
 
-        from relnet.graph import UncertainGraph
-
         g = UncertainGraph(2, (), ())
         t = TerminalSet.of([0, 1])
         for estimator in ("mc", "ht"):
@@ -691,8 +735,6 @@ class TestConstruct:
     def test_exact_probs_are_part_of_the_build(self):
         from fractions import Fraction
 
-        from relnet.graph import UncertainGraph
-
         decimal = parse_graph("0 1 0.1\n1 2 0.1\n0 2 0.1")
         binary = UncertainGraph(
             decimal.n, decimal.edges, decimal.probs,
@@ -786,10 +828,10 @@ class TestConstruct:
         assert exact_cases > 0 and strata_seen > 0
 
     def test_stratified_ht_is_unbiased(self):
-        # enumerate a stratum's outcomes ((node index, mask), conditional
-        # probability, connected) and average the HT estimate exactly over
-        # every d-draw sequence; mass <= 0.5 keeps the estimate below the
-        # clamp at 1 for d <= 2
+        # enumerate a stratum's outcomes ((node index, suffix mask),
+        # conditional probability, connected) and average the HT estimate
+        # exactly over every d-draw sequence; mass <= 0.5 keeps the estimate
+        # below the clamp at 1 for d <= 2
         pairs_seen = 0
         for seed in range(60):
             g, t = small_case(seed)
@@ -798,6 +840,9 @@ class TestConstruct:
                 for layer, kind, nodes, cum, mass, draws in build.strata:
                     if mass > 0.5:
                         continue
+                    suffix = _suffix_graph(g, build.eo, layer)
+                    if len(nodes) << suffix.m > 64:
+                        continue
                     masses = [float(nd.p) for nd in nodes]
                     total = 0.0  # summed in order, as the build sums
                     for x in masses:
@@ -805,17 +850,15 @@ class TestConstruct:
                     table = []
                     for i, nd in enumerate(nodes):
                         quotient, qterms = stratum_quotient(g, build.eo, layer, nd, t)
-                        if len(table) + (1 << quotient.m) > 64:
-                            table = None
-                            break
+                        bits = _crossing_bits(build.eo, layer, nd)
                         table.extend(
                             ((i, mask),
-                             (masses[i] / total) * assignment_probability(quotient, mask),
-                             terminals_connected(quotient, mask, qterms))
-                            for mask in range(1 << quotient.m)
+                             (masses[i] / total) * assignment_probability(suffix, mask),
+                             terminals_connected(
+                                 quotient, _quotient_mask(mask, bits), qterms
+                             ))
+                            for mask in range(1 << suffix.m)
                         )
-                    if table is None:
-                        continue
                     expected = mass * sum(q for _, q, ok in table if ok)
                     for d in (1, 2):
                         seqs = [((), 1.0)]

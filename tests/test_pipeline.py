@@ -282,6 +282,17 @@ class TestPlainSampling:
         count = res.estimate * s
         assert count == pytest.approx(round(count), abs=1e-9)
 
+    @pytest.mark.parametrize("option", [{"s": 0}, {"estimator": "xx"}],
+                             ids=["s", "estimator"])
+    def test_options_are_checked_before_drawing(self, option, monkeypatch):
+        def sampler(*args, **kwargs):
+            raise AssertionError("drew before checking the options")
+
+        monkeypatch.setattr(pipeline, "sample_group_stratum", sampler)
+        g, t = small_case(2, max_edges=12)
+        with pytest.raises(ValueError):
+            plain_sample_estimate(g, t, **{"s": 100, **option})
+
     def test_mc_statistically_unbiased(self):
         g, t = small_case(17, max_edges=12)
         ref = brute_force_reliability(g, t).reliability
