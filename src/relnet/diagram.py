@@ -20,9 +20,14 @@ pass would.  The final estimate combines the bounds with the per-stratum
 draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
-(layers, bounds, deleted nodes with their running mass sums, per-layer
-budgets) followed by a sampling pass over the strata it scheduled.  The most
-recent build is kept and reused.
+(layers, bounds, per-layer budgets and one flat record per scheduled
+stratum) followed by a sampling pass over those records.  A record keeps its
+nodes as plain columns, with no node object, together with what every draw
+of the stratum shares: its unreached terminals and checkpoint stretches.  A
+node's union-find start is made the first time a draw picks it and kept in
+the record, so a warm call, one that reuses the build with a new seed, does
+only the work that depends on the seed.  The builds of the most recent
+problem, one per part of its decomposition, are kept and reused.
 """
 
 from __future__ import annotations
@@ -344,17 +349,19 @@ def stratum_quotient(
     :func:`sample_group_stratum` draws the same connectivity without building
     this graph: it also draws the internal edges, which join nothing.
     """
-    unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
-    parents, targets = _node_pass(g.n, eo, layer, node, unreached)
+    unreached = _unreached(eo, layer, terminals)
+    joins, targets = _node_pass(eo.frontiers[layer], node.comp, node.t, unreached)
+    it = iter(joins)
+    roots = dict(zip(it, it))
     # components in frontier order, then the unreached terminals, then the
     # other unreached vertices as the quotient's edges reach them
     ids: dict[int, int] = {}
     for x in (*eo.frontiers[layer], *unreached):
-        ids.setdefault(parents[x], len(ids))
+        ids.setdefault(roots.get(x, x), len(ids))
     qedges = []
     qprobs = []
     for a, b, p, _ in eo.edges[layer:]:
-        a, b = parents[a], parents[b]
+        a, b = roots.get(a, a), roots.get(b, b)
         if a != b:
             mu = ids.setdefault(a, len(ids))
             qedges.append((mu, ids.setdefault(b, len(ids))))
@@ -363,23 +370,36 @@ def stratum_quotient(
     return quotient, TerminalSet.of(ids[x] for x in targets)
 
 
-def _node_pass(
-    n: int, eo: EdgeOrder, layer: int, node: Node, unreached: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """A node's union-find parents and targets over vertex ids.
+def _unreached(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple[int, ...]:
+    """The terminals the order has not reached before ``layer``, ascending."""
+    return tuple(x for x in terminals.sorted() if eo.first[x] >= layer)
 
-    ``n`` is the graph's vertex count.  Each frontier vertex starts under
-    the first frontier vertex of its component and every other vertex under
-    itself, so every parent is a root.  The targets are one vertex per
-    terminal-bearing component plus the ``unreached`` terminals.
+
+def _node_pass(
+    frontier: Sequence[int],
+    comp: Sequence[int],
+    t: Sequence[int],
+    unreached: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A node's union-find start over vertex ids, as (joins, targets).
+
+    ``frontier`` is the layer's frontier and ``comp`` and ``t`` are the
+    node's component ids and terminal counts.  Each frontier vertex starts
+    under the first frontier vertex of its component and every other vertex
+    under itself, so every parent is a root: ``joins`` is (x1, r1, x2, r2,
+    ...), the frontier vertices that are not first, each followed by its
+    root.  The targets are one vertex per terminal-bearing component plus
+    the ``unreached`` terminals.  Both are tuples of ints, which the
+    collector stops tracking.
     """
     first: dict[int, int] = {}
-    parents = list(range(n))
-    for x, c in zip(eo.frontiers[layer], node.comp):
-        parents[x] = first.setdefault(c, x)
-    targets = [first[c] for c, tc in enumerate(node.t) if tc > 0]
-    targets.extend(unreached)
-    return parents, targets
+    joins: list[int] = []
+    for x, c in zip(frontier, comp):
+        root = first.setdefault(c, x)
+        if root != x:
+            joins += (x, root)
+    targets = tuple([first[c] for c, tc in enumerate(t) if tc > 0])
+    return tuple(joins), targets + unreached
 
 
 CHECK_SPACING = 8  # suffix edges between two checks, per root find a check takes
@@ -387,7 +407,7 @@ CHECK_SPACING = 8  # suffix edges between two checks, per root find a check take
 
 def _checkpoints(
     eo: EdgeOrder, layer: int, k: int, unreached: Sequence[int]
-) -> list[tuple[int, int, Optional[tuple]]]:
+) -> tuple[tuple[int, int, Optional[tuple]], ...]:
     """The stretches [lo, hi) of a stratum's suffix between MC checkpoints.
 
     Returns (lo, hi, check) in position order, covering ``layer`` to the
@@ -413,75 +433,125 @@ def _checkpoints(
         plan.append((lo, hi, (live, m - hi)))
         lo = hi
     plan.append((lo, m, None))
-    return plan
+    return tuple(plan)
+
+
+class Stratum:
+    """One scheduled stratum: a group of same-layer nodes drawn as one.
+
+    A flat, seed-free record that a build makes once and every sampling
+    pass reads as it is.  ``layer`` and ``kind`` name the stratum's random
+    stream; ``draws`` is its share of the budget and ``mass`` its absolute
+    probability mass.  The nodes are kept as columns, no :class:`Node`
+    object: ``ps`` their float masses, ``cum`` the running sums of ``ps``,
+    ``comps`` and ``ts`` their component ids and terminal counts.
+
+    ``edges`` is the order's edge table, ``n`` the vertex count,
+    ``frontier`` the layer's frontier, ``unreached`` the terminals the order
+    has not reached before ``layer``, and ``plan`` the checkpoint stretches
+    of :func:`_checkpoints` as (lo, hi, check).  A pass slices the table at
+    them: a build of a deep instance would hold every stratum's suffix
+    otherwise.  ``starts``, made by the first pass, is (joins, targets,
+    shared): node i's joins and targets from :func:`_node_pass` at i, None
+    until a draw first picks node i and then kept, so later passes over a
+    reused build find them.  Equal targets, which most nodes share, are
+    kept once through ``shared``.
+    """
+
+    __slots__ = ("layer", "kind", "draws", "mass", "ps", "cum", "comps", "ts",
+                 "edges", "n", "frontier", "unreached", "plan", "starts")
+
+    def __init__(
+        self,
+        eo: EdgeOrder,
+        terminals: TerminalSet,
+        layer: int,
+        kind: str,
+        ps: tuple[float, ...],
+        comps: tuple[tuple[int, ...], ...],
+        ts: tuple[tuple[int, ...], ...],
+        mass: float,
+        draws: int,
+    ) -> None:
+        self.layer = layer
+        self.kind = kind
+        self.draws = draws
+        self.mass = mass
+        self.ps = ps
+        self.cum = tuple(accumulate(ps))
+        self.comps = comps
+        self.ts = ts
+        self.edges = eo.edges
+        self.n = len(eo.first)
+        self.frontier = eo.frontiers[layer]
+        self.unreached = _unreached(eo, layer, terminals)
+        self.plan = _checkpoints(eo, layer, terminals.k, self.unreached)
+        self.starts: Optional[tuple[list, list, dict]] = None
 
 
 def sample_group_stratum(
-    g: UncertainGraph,
-    eo: EdgeOrder,
-    layer: int,
-    terminals: TerminalSet,
-    nodes: Sequence[Node],
-    cum: Sequence[float],
-    mass: float,
-    draws: int,
-    *,
-    seed: int = 0,
-    kind: str,
-    want_outcomes: bool = False,
+    stratum: Stratum, *, seed: int = 0, want_outcomes: bool = False
 ) -> StratumDraw:
     """Sample a pooled group of same-layer nodes as one stratum.
 
     Each draw first picks a node with probability proportional to its mass
     (the group is one stratum; per-node masses are usually far too small to
-    budget individually), then completes the node over the layer's undecided
-    suffix.  ``cum`` holds the running float sums of the node masses, in
-    node order, as :func:`_build` stores them; the node is found by
-    bisecting it.
+    budget individually), found by bisecting ``stratum.cum``, then completes
+    the node over the layer's undecided suffix.
 
-    Every node draws the same edges: the whole suffix, split once per
-    stratum at the checkpoints, which are found with the unreached
-    terminals.  A node hit for the first time caches its union-find parents
-    over vertex ids, where each of its components is already joined, and its
-    target vertices.  A draw takes one ``random()`` per suffix edge, in
-    order, joining the endpoints of every edge drawn; an edge inside one
-    component joins nothing, so the draw connects what sampling
-    :func:`stratum_quotient` would.  An MC draw stops at the first
-    checkpoint (see :func:`_checkpoints`) that decides it: all targets share
-    one root, or a target's component has no undecided edge left.  It then
-    passes the stream over the ``rest`` suffix edges it leaves with one
-    ``getrandbits(64 * rest)``, which reads the same 32-bit words as
-    ``rest`` calls of ``random()``.
+    Every node draws the same edges: the whole suffix, cut at the
+    checkpoints of ``stratum.plan``.  A draw copies the identity over vertex
+    ids and applies the node's joins from ``stratum.starts`` (made on the
+    node's first pick), so each of its components is already joined.  It
+    takes one ``random()`` per suffix edge, in order, joining the endpoints
+    of every edge drawn; an edge inside one component joins nothing, so the
+    draw connects what sampling :func:`stratum_quotient` would.  An MC draw
+    stops at the first checkpoint (see :func:`_checkpoints`) that decides
+    it: all targets share one root, or a target's component has no
+    undecided edge left.  It then passes the stream over the ``rest`` suffix
+    edges it leaves with one ``getrandbits(64 * rest)``, which reads the
+    same 32-bit words as ``rest`` calls of ``random()``.
 
-    The stratum draws from its own stream, named by its layer and ``kind``:
-    a layer has at most one ``"deleted"`` and one ``"resident"`` stratum.
-    An HT draw takes every suffix edge: its outcome is keyed by the node's
-    index in ``nodes`` and the suffix mask drawn, and its probability is the
-    node's mass share times the edge factors multiplied in edge order, as
+    The stratum draws from its own stream, named by its layer and kind: a
+    layer has at most one ``"deleted"`` and one ``"resident"`` stratum.  An
+    HT draw takes every suffix edge: its outcome is keyed by the node's
+    index and the suffix mask drawn, and its probability is the node's mass
+    share times the edge factors multiplied in edge order, as
     :func:`assignment_probability` does.
     """
-    rng = rngmod.stream(seed, "layer", layer, kind)
+    st = stratum
+    rng = rngmod.stream(seed, "layer", st.layer, st.kind)
     rnd = rng.random
     skip = rng.getrandbits
+    cum = st.cum
     total = cum[-1]
-    edges = eo.edges
-    unreached = [x for x in terminals.sorted() if eo.first[x] >= layer]
-    segments = [
-        (edges[lo:hi], check)
-        for lo, hi, check in _checkpoints(eo, layer, terminals.k, unreached)
-    ]
-    cache: dict[int, tuple[list[int], list[int]]] = {}
+    last = len(cum) - 1
+    edges = st.edges
+    segments = [(edges[lo:hi], check) for lo, hi, check in st.plan]
+    base = list(range(st.n))
+    if st.starts is None:
+        st.starts = ([None] * len(cum), [None] * len(cum), {})
+    joins_of, targets_of, shared = st.starts
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
-    for _ in range(draws):
+    for _ in range(st.draws):
         i = bisect_right(cum, rnd() * total)
-        if i >= len(nodes):
-            i = len(nodes) - 1
-        entry = cache.get(i)
-        if entry is None:
-            entry = cache[i] = _node_pass(g.n, eo, layer, nodes[i], unreached)
-        parents, targets = entry
-        parent = parents[:]
+        if i > last:
+            i = last
+        joins = joins_of[i]
+        if joins is None:
+            joins, targets = _node_pass(
+                st.frontier, st.comps[i], st.ts[i], st.unreached
+            )
+            joins_of[i] = joins
+            targets_of[i] = targets = shared.setdefault(targets, targets)
+        else:
+            targets = targets_of[i]
+        parent = base[:]
+        if joins:
+            it = iter(joins)
+            for x, root in zip(it, it):
+                parent[x] = root
         if want_outcomes:
             mask = 0
             bit = 1
@@ -539,8 +609,10 @@ def sample_group_stratum(
         if ok:
             successes += 1
         if want_outcomes:
-            outcomes.append(((i, mask), (float(nodes[i].p) / total) * q, ok))
-    return StratumDraw(mass=mass, draws=draws, successes=successes, outcomes=outcomes)
+            outcomes.append(((i, mask), (st.ps[i] / total) * q, ok))
+    return StratumDraw(
+        mass=st.mass, draws=st.draws, successes=successes, outcomes=outcomes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +679,21 @@ def expand_layer(
     return list(nxt.values()), resident_mass
 
 
-_Stratum = tuple[int, str, tuple[Node, ...], tuple[float, ...], float, int]
-
-
 @dataclass(frozen=True)
 class _Build:
     """Everything a construction decides before its first draw.
 
-    ``strata`` lists the node groups that get draws, as (layer, kind, nodes,
-    cum, mass, draws), ``cum`` being the running float sums of the node
-    masses that :func:`sample_group_stratum` bisects; groups with no draws
-    are already in ``residual``.  ``reduced`` is the budget reduced by the
-    final bounds.  The nodes are shared by every sampling pass and must not
-    be mutated; ``rows`` are the trace rows, copied out to each caller.
+    ``strata`` lists the :class:`Stratum` records of the node groups that
+    get draws; groups with no draws are already in ``residual``.  A record
+    holds no :class:`Node`, only plain columns and what its draws share, and
+    gains its nodes' start states as passes pick them; the records are
+    created and freed with the build.  ``reduced`` is the budget reduced by
+    the final bounds; ``rows`` are the trace rows, copied out to each
+    caller.
     """
 
     eo: EdgeOrder
-    strata: tuple[_Stratum, ...]
+    strata: tuple[Stratum, ...]
     p_c: Probability
     p_d: Probability
     bounds: Bounds
@@ -635,7 +705,28 @@ class _Build:
     rows: tuple[dict, ...]
 
 
-@lru_cache(maxsize=1)
+# The _build keys of the parts of the problem estimate_pipeline is solving:
+# a miss on one of them keeps the cached builds, see keep_builds.
+_kept_keys: tuple[tuple, ...] = ()
+
+
+def keep_builds(keys: Sequence[tuple]) -> None:
+    """Keep the cached builds for ``keys``, the parts of one problem, together.
+
+    Each key is a :func:`_build` argument tuple.  A miss on one of them
+    keeps the builds cached so far, so a warm call reuses every part's
+    build.  When ``keys`` change, every cached build is dropped first, and a
+    miss on any other key drops them too: the builds of at most one problem
+    are alive.
+    """
+    global _kept_keys
+    keys = tuple(keys)
+    if keys != _kept_keys:
+        _build.cache_clear()
+        _kept_keys = keys
+
+
+@lru_cache(maxsize=None)
 def _build(
     g: UncertainGraph,
     terminals: TerminalSet,
@@ -650,9 +741,11 @@ def _build(
     neither the seed nor the estimator changes what is built, and a build is
     reused across seeds.
     """
-    # a miss: drop the previous build now, so at most one is alive at a time
-    # (this also zeroes the cache_info() counts)
-    _build.cache_clear()
+    if (g, terminals, width, samples, precision, width_cap) not in _kept_keys:
+        # a miss outside the kept parts: drop every cached build now, so
+        # at most one problem's builds are alive (this also zeroes the
+        # cache_info() counts)
+        _build.cache_clear()
     exact = precision == "exact"
     eo = order_edges(g, terminals)
     probs = g.prob_values(exact)
@@ -663,7 +756,8 @@ def _build(
     p_c = mass_sum()
     p_d = mass_sum()
     layer_nodes: list[Node] = [Node(one, (), ())]
-    strata: list[_Stratum] = []
+    strata: list[Stratum] = []
+    shared_t = {}.setdefault
     rows: list[dict] = []
     unsampled_mass = KahanSum()
     drawn = 0
@@ -688,7 +782,8 @@ def _build(
         """Schedule a pooled node group as one stratum; returns its draws.
 
         The group gets its mass's share of the reduced budget, never past
-        the request; a group with no draws leaves its mass unsampled.
+        the request; a group with no draws leaves its mass unsampled.  Equal
+        terminal counts, which most nodes of a layer share, are kept once.
         """
         nonlocal drawn
         draws = max(0, min(int(s_prime * mass), s - drawn))
@@ -696,8 +791,13 @@ def _build(
             if mass > 0:
                 unsampled_mass.add(mass)
             return 0
-        cum = tuple(accumulate(float(nd.p) for nd in nodes))
-        strata.append((layer, kind, tuple(nodes), cum, mass, draws))
+        strata.append(Stratum(
+            eo, terminals, layer, kind,
+            tuple(float(nd.p) for nd in nodes),
+            tuple(nd.comp for nd in nodes),
+            tuple(shared_t(nd.t, nd.t) for nd in nodes),
+            mass, draws,
+        ))
         drawn += draws
         return draws
 
@@ -778,8 +878,9 @@ def construct(
 
     Bounds accumulate monotonically as prefixes reach the sinks; the sample
     budget is re-reduced after every layer from the current bounds; deleted
-    and leftover nodes are sampled over the undecided suffix.  The most
-    recent build is reused when only the seed or the estimator changes.
+    and leftover nodes are sampled over the undecided suffix.  A cached
+    build is reused when only the seed or the estimator changes: the most
+    recent one, or those of the parts that :func:`keep_builds` names.
     """
     terminals.validate(g)
     t_start = time.perf_counter()
@@ -793,11 +894,8 @@ def construct(
     t_sample = time.perf_counter()
     want_outcomes = config.estimator == "ht"
     strata = [
-        sample_group_stratum(
-            g, build.eo, layer, terminals, nodes, cum, mass, draws,
-            seed=config.seed, kind=kind, want_outcomes=want_outcomes,
-        )
-        for layer, kind, nodes, cum, mass, draws in build.strata
+        sample_group_stratum(st, seed=config.seed, want_outcomes=want_outcomes)
+        for st in build.strata
     ]
 
     t_est = time.perf_counter()

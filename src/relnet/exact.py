@@ -4,11 +4,14 @@ Every other estimator in the package is validated against this module, so it
 stays deliberately direct: walk all 2^m possible graphs, test terminal
 connectivity, and sum the masses of the connected ones.  Enumeration follows
 a Gray code so each step flips a single edge and the running probability is
-updated with one multiply.
+updated with one multiply; in exact mode it is an integer over the common
+denominator of the probabilities, updated with one exact division and one
+multiply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,24 +55,27 @@ def brute_force_reliability(
     active = [False] * m
     active_count = 0
     if exact:
-        prob: Probability = Fraction(1)
-        for p in probs:
-            prob *= 1 - p
-        ratio_on = [p / (1 - p) if p != 1 else None for p in probs]
+        # integer weights over the common denominator prod(b_j) of the
+        # probabilities a_j / b_j: an edge weighs a_j on and b_j - a_j off,
+        # and a flip divides one factor out exactly
+        on_w = [p.numerator for p in probs]
+        off_w = [p.denominator - p.numerator for p in probs]
+        weight = math.prod(off_w)
     else:
-        prob = 1.0
+        weight = 1.0
         for p in probs:
-            prob *= 1.0 - p
+            weight *= 1.0 - p
         ratio_on = [p / (1.0 - p) if p != 1.0 else None for p in probs]
 
     total = KahanSum() if not exact else None
-    total_exact = Fraction(0)
+    total_exact = 0
 
-    # Edges with p == 1 have zero mass on their off branch; the incremental
-    # ratio is undefined there, so recompute the product from scratch on
-    # steps that flip such an edge.
-    def full_product(states: list[bool]) -> Probability:
-        acc: Probability = Fraction(1) if exact else 1.0
+    # A factor of 0 (p == 1 off, or p == 0 on) cannot be divided out, so
+    # steps that flip such an edge recompute the product from scratch.
+    def full_product(states: list[bool]) -> int | float:
+        if exact:
+            return math.prod(on_w[j] if on else off_w[j] for j, on in enumerate(states))
+        acc = 1.0
         for j, on in enumerate(states):
             acc *= probs[j] if on else (1 - probs[j])
         return acc
@@ -79,16 +85,17 @@ def brute_force_reliability(
         if i > 0:
             # Gray code: step i flips the bit at the lowest set position of i.
             j = (i & -i).bit_length() - 1
-            if active[j]:
-                active[j] = False
-                active_count -= 1
-                r = ratio_on[j]
-                prob = full_product(active) if r is None else prob / r
+            active[j] = not active[j]
+            if exact:
+                out, into = (off_w[j], on_w[j]) if active[j] else (on_w[j], off_w[j])
+                weight = full_product(active) if out == 0 else weight // out * into
             else:
-                active[j] = True
-                active_count += 1
                 r = ratio_on[j]
-                prob = full_product(active) if r is None else prob * r
+                if r is None:
+                    weight = full_product(active)
+                else:
+                    weight = weight * r if active[j] else weight / r
+            active_count += 1 if active[j] else -1
         if active_count < need:
             continue
         # Union-find over existent edges only.
@@ -121,10 +128,13 @@ def brute_force_reliability(
                 break
         if ok:
             if exact:
-                total_exact += prob  # type: ignore[operator]
+                total_exact += weight
             else:
-                total.add(prob)  # type: ignore[union-attr, arg-type]
+                total.add(weight)  # type: ignore[union-attr, arg-type]
 
     if exact:
-        return ExactResult(reliability=total_exact, enumerated_count=count)
+        denominator = math.prod(p.denominator for p in probs)
+        return ExactResult(
+            reliability=Fraction(total_exact, denominator), enumerated_count=count
+        )
     return ExactResult(reliability=min(1.0, total.value), enumerated_count=count)

@@ -10,7 +10,7 @@ is provided for comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -18,9 +18,10 @@ from typing import Optional
 from . import rng as rngmod
 from .diagram import (
     BuildConfig,
-    Node,
+    Stratum,
     construct,
     exact_reliability,
+    keep_builds,
     order_edges,
     sample_group_stratum,
 )
@@ -132,7 +133,9 @@ def estimate_pipeline(
     """Full pipeline: preprocess, construct per part, combine by product.
 
     The most recent decomposition is reused when only the seed, the
-    estimator or the budgets change.  Options are checked up front.
+    estimator or the budgets change, and so are the builds of all its parts
+    when only the seed or the estimator does.  Options are checked once, up
+    front.
     """
     config = BuildConfig(
         width=w, samples=s, estimator=estimator, seed=seed,
@@ -143,15 +146,19 @@ def estimate_pipeline(
     t_pre = time.perf_counter() - t0
 
     budgets = split_budget(s, [pg.m for pg, _ in deco.parts])
+    keep_builds(
+        (pg, pt, w, budget, precision, width_cap)
+        for (pg, pt), budget in zip(deco.parts, budgets)
+    )
     parts: list[EstimateReport] = []
     shapes: list[tuple[int, int]] = []
     construct_time = 0.0
     sample_time = 0.0
     for idx, ((pg, pt), budget) in enumerate(zip(deco.parts, budgets)):
-        cfg = replace(
-            config, samples=budget, seed=rngmod.derive_seed(seed, "part", idx)
-        )
-        rep = construct(pg, pt, cfg, trace=trace)
+        # the parts share the one checked config; only budget and seed differ
+        config.samples = budget
+        config.seed = rngmod.derive_seed(seed, "part", idx)
+        rep = construct(pg, pt, config, trace=trace)
         parts.append(rep)
         shapes.append((pg.n, pg.m))
         construct_time += rep.timings.get("construct", 0.0)
@@ -260,12 +267,12 @@ def plain_sample_estimate(
     if estimator not in ("mc", "ht"):
         raise ValueError("estimator must be 'mc' or 'ht'")
     t0 = time.perf_counter()
+    root = Stratum(
+        order_edges(g, terminals), terminals, 0, "deleted",
+        (1.0,), ((),), ((),), 1.0, s,
+    )
     strata = [
-        sample_group_stratum(
-            g, order_edges(g, terminals), 0, terminals, [Node(1.0, (), ())],
-            (1.0,), 1.0, s, seed=seed, kind="deleted",
-            want_outcomes=estimator == "ht",
-        )
+        sample_group_stratum(root, seed=seed, want_outcomes=estimator == "ht")
     ]
     bounds = Bounds(0.0, 0.0)
     est = combine_strata(estimator, strata, bounds)

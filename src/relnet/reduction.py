@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import TerminalSet, UncertainGraph, _find, terminals_connected
 
@@ -93,13 +94,14 @@ class Decomposition:
     """Bridge factor and the independent remaining parts.
 
     Reliability of the original problem equals the exact bridge factor times
-    the product of the parts' reliabilities; ``bridge_factor`` rounds it.
+    the product of the parts' reliabilities; ``bridge_factor`` rounds it,
+    once per decomposition.
     """
 
     bridge_factor_exact: Fraction
     parts: tuple[tuple[UncertainGraph, TerminalSet], ...]
 
-    @property
+    @cached_property
     def bridge_factor(self) -> float:
         return float(self.bridge_factor_exact)
 

@@ -17,12 +17,9 @@ PathPart = Union[int, str]
 
 
 def derive_seed(root: int, *path: PathPart) -> int:
-    h = hashlib.sha256()
-    h.update(str(int(root)).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    """The first 8 bytes of the SHA-256 of "root/part/part...", big-endian."""
+    text = "/".join([str(int(root)), *map(str, path)])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def stream(root: int, *path: PathPart) -> random.Random:

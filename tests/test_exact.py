@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from relnet.exact import EdgeCapExceeded, brute_force_reliability
-from relnet.graph import TerminalSet, parse_graph
+from relnet.graph import TerminalSet, UncertainGraph, parse_graph, terminals_connected
 from relnet.generate import random_connected_graph
 from conftest import brute_force_unreliability, naive_reliability, small_case
 
@@ -49,6 +49,33 @@ def test_exact_fraction_mode():
     g = parse_graph("0 1 0.5\n0 2 0.5\n1 2 0.5")
     res = brute_force_reliability(g, TerminalSet.of([0, 1, 2]), exact=True)
     assert res.reliability == Fraction(1, 2)
+
+
+def _fraction_enumeration(g, t):
+    """Exact reliability by a fresh Fraction product per realization."""
+    total = Fraction(0)
+    for mask in range(1 << g.m):
+        if terminals_connected(g, mask, t):
+            prob = Fraction(1)
+            for j, p in enumerate(g.prob_values(True)):
+                prob *= p if mask >> j & 1 else 1 - p
+            total += prob
+    return total
+
+
+def test_exact_mode_matches_fraction_enumeration():
+    cases = [small_case(seed, max_edges=10) for seed in range(12)]
+    # edges of probability 1 cannot be divided out of the running weight
+    cases.append((parse_graph("0 1 1\n1 2 0.3\n0 2 1\n2 3 0.7\n1 3 1"),
+                  TerminalSet.of([0, 3])))
+    exact_probs = (Fraction(1, 3), Fraction(2, 7), Fraction(1), Fraction(5, 6))
+    cases.append((UncertainGraph(3, ((0, 1), (1, 2), (0, 2), (0, 1)),
+                                 tuple(float(p) for p in exact_probs), exact_probs),
+                  TerminalSet.of([0, 2])))
+    for g, t in cases:
+        res = brute_force_reliability(g, t, exact=True).reliability
+        assert isinstance(res, Fraction)
+        assert res == _fraction_enumeration(g, t)
 
 
 def test_probability_one_edges():

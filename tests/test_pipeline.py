@@ -1,3 +1,4 @@
+import json
 import statistics
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +15,7 @@ from relnet.pipeline import (
     plain_sample_estimate,
     split_budget,
 )
-from relnet.generate import random_connected_graph, random_terminals
+from relnet.generate import grid_graph, random_connected_graph, random_terminals
 from relnet.graph import TerminalSet, UncertainGraph, load_graph, parse_graph
 from relnet.reduction import preprocess
 from conftest import DATA_DIR, small_case
@@ -180,6 +181,72 @@ class TestDecompositionReuse:
         estimate_pipeline(g, t, s=1000, w=100, seed=2)
         assert _decomposition.cache_info().hits == _build.cache_info().hits == 1
         assert calls == []
+
+    @pytest.mark.parametrize("estimator", ["mc", "ht"])
+    @pytest.mark.parametrize("case", ["karate", "grid10"])
+    def test_report_does_not_depend_on_the_cache_state(self, karate_graph, case,
+                                                       estimator):
+        # a build's strata gain start states as draws pick their nodes;
+        # the report for a seed is the same cold, warm and after a clear
+        if case == "karate":
+            g, t = karate_graph, self.KARATE_TERMINALS
+        else:
+            g, t = grid_graph(10, 10, seed=0), TerminalSet.of([0, 55, 99])
+
+        def call(seed):
+            rows = []
+            res = estimate_pipeline(g, t, s=10000, w=100, seed=seed,
+                                    estimator=estimator, trace=rows)
+            return json.dumps(res.to_dict(), sort_keys=True), rows
+
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        cold = call(5)
+        for seed in (1, 2, 3):
+            call(seed)
+        warm = call(5)
+        _build.cache_clear()
+        cleared = call(5)
+        assert cold == warm == cleared
+        assert json.loads(cold[0])["samples_used"] > 0
+
+    def test_every_part_build_is_reused(self):
+        # two different 6x6 grids joined by a bridge preprocess into two
+        # parts; a warm call builds neither again
+        a, b = grid_graph(6, 6, seed=1), grid_graph(6, 6, seed=2)
+        g = UncertainGraph(
+            n=72,
+            edges=a.edges + tuple((u + 36, v + 36) for u, v in b.edges) + ((35, 36),),
+            probs=a.probs + b.probs + (0.9,),
+        )
+        t = TerminalSet.of([0, 71])
+        assert len(preprocess(g, t).parts) == 2
+
+        def call(seed):
+            return estimate_pipeline(g, t, s=10000, w=20, seed=seed).to_dict()
+
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        call(1)
+        assert _build.cache_info().misses == 2
+        warm = call(2)
+        assert _build.cache_info().misses == 2
+        assert _build.cache_info().hits == 2
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        assert call(2) == warm
+        assert warm["samples_used"] > 0 and len(warm["parts"]) == 2
+
+    def test_other_builds_go_before_a_new_problem_is_built(self, karate_graph):
+        # at most one problem's builds are alive: a new decomposition, or
+        # a direct construction, drops the parts' builds first
+        g = random_connected_graph(12, 20, seed=3)
+        t = random_terminals(g, 3, seed=3)
+        estimate_pipeline(karate_graph, self.KARATE_TERMINALS, s=500, w=50)
+        estimate_pipeline(g, t, s=500, w=50)
+        assert _build.cache_info().currsize == len(preprocess(g, t).parts)
+        exact_reliability(g, t)
+        assert _build.cache_info().currsize == 1
 
     def test_preprocess_flag_is_part_of_the_key(self, karate_graph, monkeypatch):
         calls = self._count_preprocess(monkeypatch)
