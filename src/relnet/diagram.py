@@ -26,8 +26,9 @@ nodes as plain columns, with no node object, together with what every draw
 of the stratum shares: its unreached terminals and checkpoint stretches.  A
 node's union-find start is made the first time a draw picks it and kept in
 the record, so a warm call, one that reuses the build with a new seed, does
-only the work that depends on the seed.  The builds of the most recent
-problem, one per part of its decomposition, are kept and reused.
+only the work that depends on the seed.  Only the most recent build is
+kept, so a graph that preprocessing splits into several parts rebuilds each
+part on every call.
 """
 
 from __future__ import annotations
@@ -705,28 +706,7 @@ class _Build:
     rows: tuple[dict, ...]
 
 
-# The _build keys of the parts of the problem estimate_pipeline is solving:
-# a miss on one of them keeps the cached builds, see keep_builds.
-_kept_keys: tuple[tuple, ...] = ()
-
-
-def keep_builds(keys: Sequence[tuple]) -> None:
-    """Keep the cached builds for ``keys``, the parts of one problem, together.
-
-    Each key is a :func:`_build` argument tuple.  A miss on one of them
-    keeps the builds cached so far, so a warm call reuses every part's
-    build.  When ``keys`` change, every cached build is dropped first, and a
-    miss on any other key drops them too: the builds of at most one problem
-    are alive.
-    """
-    global _kept_keys
-    keys = tuple(keys)
-    if keys != _kept_keys:
-        _build.cache_clear()
-        _kept_keys = keys
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _build(
     g: UncertainGraph,
     terminals: TerminalSet,
@@ -741,11 +721,9 @@ def _build(
     neither the seed nor the estimator changes what is built, and a build is
     reused across seeds.
     """
-    if (g, terminals, width, samples, precision, width_cap) not in _kept_keys:
-        # a miss outside the kept parts: drop every cached build now, so
-        # at most one problem's builds are alive (this also zeroes the
-        # cache_info() counts)
-        _build.cache_clear()
+    # a miss: drop the previous build now, so at most one is alive at a time
+    # (this also zeroes the cache_info() counts)
+    _build.cache_clear()
     exact = precision == "exact"
     eo = order_edges(g, terminals)
     probs = g.prob_values(exact)
@@ -878,9 +856,8 @@ def construct(
 
     Bounds accumulate monotonically as prefixes reach the sinks; the sample
     budget is re-reduced after every layer from the current bounds; deleted
-    and leftover nodes are sampled over the undecided suffix.  A cached
-    build is reused when only the seed or the estimator changes: the most
-    recent one, or those of the parts that :func:`keep_builds` names.
+    and leftover nodes are sampled over the undecided suffix.  The most
+    recent build is reused when only the seed or the estimator changes.
     """
     terminals.validate(g)
     t_start = time.perf_counter()

@@ -6,10 +6,9 @@ undecided region is ever sampled, which turns plain Monte Carlo into a
 stratified scheme whose variance shrinks as the bounds tighten, and lets the
 requested sample count be cut ahead of time without losing accuracy.
 
-Count reductions floor exactly as rational arithmetic over the decimal
-reading of the bounds would (10000 samples with p_c = p_d = 0.1 reduce to
-6400, not 6399): floats decide, and the rationals only where the scaled
-count lies too near an integer for floats to place the floor.
+Count reductions are computed in exact rational arithmetic over the decimal
+reading of the bounds, so floor thresholds land exactly (10000 samples with
+p_c = p_d = 0.1 reduce to 6400, not 6399).
 """
 
 from __future__ import annotations
@@ -139,42 +138,28 @@ def ht_variance(
 # Sample-count reduction
 # ---------------------------------------------------------------------------
 
-# A float s * factor is within s * 1e-14 of the exact one; nearer an integer
-# than this, the floor is taken in rationals.
-_FLOOR_MARGIN = 1e-12
-
-
-def _reduction_factor(pc, pd):
-    """The share of the samples kept, by case on the bound masses.
-
-    The same formula serves floats and Fractions.  A float's order is its
-    repr's, so both pick the same case.
-    """
-    if pc == 0:
-        return 1 - pd
-    if pd == 0:
-        return 1 - pc
-    if pc == pd:
-        return 1 - 4 * pc * (1 - pc)
-    if pc < pd:
-        return 1 - 4 * pc * (1 - pd)
-    return 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
-
-
 def reduced_sample_count(s: int, bounds: Bounds) -> int:
     """Samples needed to match the accuracy of s bound-free draws.
 
     Closed form by case on the bound masses; the result never exceeds s and
-    shrinks as either bound grows.  It is the floor of s times the factor
-    over the bounds' decimal readings, which is only computed when the float
-    product lies within ``_FLOOR_MARGIN * s`` of an integer.
+    shrinks as either bound grows.
     """
     if s < 0:
         raise EstimatorError("sample count must be nonnegative")
-    x = s * _reduction_factor(bounds.p_c, bounds.p_d)
-    if abs(x - round(x)) <= _FLOOR_MARGIN * s:
-        x = s * _reduction_factor(to_fraction(bounds.p_c), to_fraction(bounds.p_d))
-    return max(0, min(s, math.floor(x)))
+    pc = to_fraction(bounds.p_c)
+    pd = to_fraction(bounds.p_d)
+    if pc == 0:
+        factor = 1 - pd
+    elif pd == 0:
+        factor = 1 - pc
+    elif pc == pd:
+        factor = 1 - 4 * pc * (1 - pc)
+    elif pc < pd:
+        factor = 1 - 4 * pc * (1 - pd)
+    else:
+        factor = 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
+    reduced = math.floor(s * factor)
+    return max(0, min(s, reduced))
 
 
 # ---------------------------------------------------------------------------

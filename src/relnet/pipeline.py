@@ -21,7 +21,6 @@ from .diagram import (
     Stratum,
     construct,
     exact_reliability,
-    keep_builds,
     order_edges,
     sample_group_stratum,
 )
@@ -133,9 +132,7 @@ def estimate_pipeline(
     """Full pipeline: preprocess, construct per part, combine by product.
 
     The most recent decomposition is reused when only the seed, the
-    estimator or the budgets change, and so are the builds of all its parts
-    when only the seed or the estimator does.  Options are checked once, up
-    front.
+    estimator or the budgets change.  Options are checked once, up front.
     """
     config = BuildConfig(
         width=w, samples=s, estimator=estimator, seed=seed,
@@ -146,10 +143,6 @@ def estimate_pipeline(
     t_pre = time.perf_counter() - t0
 
     budgets = split_budget(s, [pg.m for pg, _ in deco.parts])
-    keep_builds(
-        (pg, pt, w, budget, precision, width_cap)
-        for (pg, pt), budget in zip(deco.parts, budgets)
-    )
     parts: list[EstimateReport] = []
     shapes: list[tuple[int, int]] = []
     construct_time = 0.0

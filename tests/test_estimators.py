@@ -1,7 +1,4 @@
-import math
-import random
 import statistics
-from fractions import Fraction
 
 import pytest
 
@@ -99,37 +96,6 @@ class TestReducedSampleCount:
 
     def test_no_bounds_no_reduction(self):
         assert reduced_sample_count(1000, Bounds()) == 1000
-
-    @staticmethod
-    def _rational_factor(pc, pd):
-        """The factor in rationals over the bounds' decimal readings alone."""
-        pc, pd = Fraction(repr(pc)), Fraction(repr(pd))
-        if pc == 0:
-            return 1 - pd
-        if pd == 0:
-            return 1 - pc
-        if pc == pd:
-            return 1 - 4 * pc * (1 - pc)
-        if pc < pd:
-            return 1 - 4 * pc * (1 - pd)
-        return 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
-
-    def test_float_path_matches_rationals(self):
-        # decimal grids put s * factor on integers (0.1/0.1 -> 6400 is one),
-        # where floats alone floor one too low; random bounds rarely do
-        rng = random.Random(3)
-        bounds = [(i / 100, j / 100) for i in range(101) for j in range(101 - i)]
-        bounds += [(i / 1000, j / 1000) for i in range(0, 1001, 13)
-                   for j in range(0, 1001 - i, 17)]
-        for _ in range(2000):
-            pc = rng.random()
-            bounds.append((pc, rng.random() * (1 - pc)))
-        assert (0.1, 0.1) in bounds
-        for pc, pd in bounds:
-            factor = self._rational_factor(pc, pd)
-            for s in (0, 7, 777, 10000, 123457, 10**9):
-                expected = max(0, min(s, math.floor(s * factor)))
-                assert reduced_sample_count(s, Bounds(pc, pd)) == expected, (s, pc, pd)
 
     def test_never_exceeds_request(self):
         for i in range(0, 101, 4):

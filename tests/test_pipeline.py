@@ -210,44 +210,6 @@ class TestDecompositionReuse:
         assert cold == warm == cleared
         assert json.loads(cold[0])["samples_used"] > 0
 
-    def test_every_part_build_is_reused(self):
-        # two different 6x6 grids joined by a bridge preprocess into two
-        # parts; a warm call builds neither again
-        a, b = grid_graph(6, 6, seed=1), grid_graph(6, 6, seed=2)
-        g = UncertainGraph(
-            n=72,
-            edges=a.edges + tuple((u + 36, v + 36) for u, v in b.edges) + ((35, 36),),
-            probs=a.probs + b.probs + (0.9,),
-        )
-        t = TerminalSet.of([0, 71])
-        assert len(preprocess(g, t).parts) == 2
-
-        def call(seed):
-            return estimate_pipeline(g, t, s=10000, w=20, seed=seed).to_dict()
-
-        _decomposition.cache_clear()
-        _build.cache_clear()
-        call(1)
-        assert _build.cache_info().misses == 2
-        warm = call(2)
-        assert _build.cache_info().misses == 2
-        assert _build.cache_info().hits == 2
-        _decomposition.cache_clear()
-        _build.cache_clear()
-        assert call(2) == warm
-        assert warm["samples_used"] > 0 and len(warm["parts"]) == 2
-
-    def test_other_builds_go_before_a_new_problem_is_built(self, karate_graph):
-        # at most one problem's builds are alive: a new decomposition, or
-        # a direct construction, drops the parts' builds first
-        g = random_connected_graph(12, 20, seed=3)
-        t = random_terminals(g, 3, seed=3)
-        estimate_pipeline(karate_graph, self.KARATE_TERMINALS, s=500, w=50)
-        estimate_pipeline(g, t, s=500, w=50)
-        assert _build.cache_info().currsize == len(preprocess(g, t).parts)
-        exact_reliability(g, t)
-        assert _build.cache_info().currsize == 1
-
     def test_preprocess_flag_is_part_of_the_key(self, karate_graph, monkeypatch):
         calls = self._count_preprocess(monkeypatch)
         t = self.KARATE_TERMINALS
