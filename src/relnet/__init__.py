@@ -32,16 +32,13 @@ from .graph import (
     GraphInvariantError,
     TerminalSet,
     UncertainGraph,
-    assignment_probability,
     load_graph,
     parse_graph,
-    sample_possible_graph,
     terminals_connected,
 )
 from .pipeline import estimate_pipeline, exact_pipeline, plain_sample_estimate
 from .reduction import (
     Decomposition,
-    StructureIndex,
     build_structure_index,
     decompose,
     preprocess,
@@ -62,11 +59,9 @@ __all__ = [
     "Node",
     "SampleBudget",
     "StratumDraw",
-    "StructureIndex",
     "TerminalSet",
     "UncertainGraph",
     "WidthCapExceeded",
-    "assignment_probability",
     "brute_force_reliability",
     "build_structure_index",
     "construct",
@@ -85,7 +80,6 @@ __all__ = [
     "plain_sample_estimate",
     "preprocess",
     "reduced_sample_count",
-    "sample_possible_graph",
     "stratified_mc_variance",
     "terminals_connected",
     "transform",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``estimate`` (full pipeline), ``exact`` (enumeration or
-unbounded construction), ``preprocess`` (emit decomposed parts), ``gen``
-(synthetic graphs), ``bench`` (accuracy harness with exact references).
+Subcommands: ``estimate`` (full pipeline), ``exact`` (the pipeline's
+unbounded construction, or enumeration), ``preprocess`` (emit decomposed
+parts), ``gen`` (synthetic graphs), ``bench`` (accuracy harness with exact
+references).
 
 Exit codes: 0 success, 2 usage error, 3 bad input data, 4 resource cap hit.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import rng as rngmod
-from .diagram import WidthCapExceeded, exact_reliability
+from .diagram import WidthCapExceeded
 from .exact import DEFAULT_EDGE_CAP, EdgeCapExceeded, brute_force_reliability
 from .estimators import EstimatorError
 from .generate import (
@@ -101,10 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     exa = sub.add_parser("exact", help="exact reliability")
     add_io(exa)
-    exa.add_argument("--brute-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP)
+    exa.add_argument("--brute-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP,
+                     help="edge cap for --method brute")
     exa.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
     exa.add_argument("--precision", choices=("double", "exact"), default="double")
-    exa.add_argument("--method", choices=("auto", "brute", "diagram"), default="auto")
+    exa.add_argument("--method", choices=("brute", "diagram"), default="diagram")
     exa.add_argument("--timings", action="store_true")
 
     pre = sub.add_parser("preprocess", help="prune, decompose, transform")
@@ -262,23 +264,20 @@ def _config_dict(args) -> dict:
 def cmd_exact(args) -> int:
     g, terminals = _load_inputs(args)
     t0 = time.perf_counter()
-    method = args.method
-    if method == "auto":
-        method = "brute" if g.m <= args.brute_cap else "diagram"
-    if method == "brute":
+    if args.method == "brute":
         res = brute_force_reliability(
             g, terminals, cap=args.brute_cap, exact=args.precision == "exact"
         )
         value = res.reliability
         extra = {"enumerated": res.enumerated_count}
     else:
-        value = exact_reliability(
+        value = exact_pipeline(
             g, terminals, width_cap=args.width_cap, precision=args.precision
         )
         extra = {}
     payload = {
         "command": "exact",
-        "method": method,
+        "method": args.method,
         "reliability": round_sig(float(value)),
         "config": _config_dict(args),
         **extra,

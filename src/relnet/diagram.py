@@ -638,6 +638,8 @@ class BuildConfig:
             raise ValueError("estimator must be 'mc' or 'ht'")
         if self.precision not in ("double", "exact"):
             raise ValueError("precision must be 'double' or 'exact'")
+        if self.width_cap is not None and self.width_cap < 1:
+            raise ValueError("width cap must be >= 1")
 
 
 def expand_layer(
@@ -693,7 +695,6 @@ class _Build:
     caller.
     """
 
-    eo: EdgeOrder
     strata: tuple[Stratum, ...]
     p_c: Probability
     p_d: Probability
@@ -832,7 +833,6 @@ def _build(
     for nd in layer_nodes:
         p_d.add(nd.p)
     return _Build(
-        eo=eo,
         strata=tuple(strata),
         p_c=p_c.raw,
         p_d=p_d.raw,
@@ -923,16 +923,16 @@ def exact_reliability(
     width_cap: int = 1_000_000,
     precision: str = "double",
 ) -> Probability:
-    """Exact reliability via the unbounded construction.
+    """Exact reliability of the whole graph via the unbounded construction.
 
+    No preprocessing: this is :func:`construct` with no width and no draws.
     Fails with :class:`WidthCapExceeded` when any layer outgrows the cap.
     """
-    cfg = BuildConfig(width=None, precision=precision, width_cap=width_cap)
-    terminals.validate(g)
-    build = _build(g, terminals, None, 0, cfg.precision, cfg.width_cap)
-    gap = 1.0 - build.bounds.p_c - build.bounds.p_d
-    if abs(gap) > 1e-9:
+    rep = construct(
+        g, terminals, BuildConfig(width=None, precision=precision, width_cap=width_cap)
+    )
+    if not rep.exact:
         raise GraphInvariantError(
-            f"construction left {gap} mass undecided in exact run"
+            f"construction left {rep.bounds.undecided} mass undecided in exact run"
         )
-    return build.p_c if precision == "exact" else build.bounds.p_c
+    return Fraction(rep.raw["estimate"]) if precision == "exact" else rep.estimate

@@ -20,7 +20,6 @@ from .diagram import (
     BuildConfig,
     Stratum,
     construct,
-    exact_reliability,
     order_edges,
     sample_group_stratum,
 )
@@ -31,7 +30,7 @@ from .estimators import (
     reduced_sample_count,
     strata_variance,
 )
-from .graph import TerminalSet, UncertainGraph
+from .graph import GraphInvariantError, TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig
 from .reduction import Decomposition, preprocess, undecomposed
 
@@ -218,20 +217,17 @@ def exact_pipeline(
     width_cap: int = 1_000_000,
     precision: str = "double",
 ) -> Probability:
-    """Exact reliability through the same decomposition path.
+    """Exact reliability: :func:`estimate_pipeline` with no width and no draws.
 
-    This is the reference the benchmark harness compares estimates against;
-    parts are solved by the unbounded construction.
+    Each part is solved by the unbounded construction.  This is the
+    reference ``relnet bench`` compares estimates against.
     """
-    deco = preprocess(g, terminals)
-    value: Probability = (
-        deco.bridge_factor_exact if precision == "exact" else deco.bridge_factor
+    res = estimate_pipeline(
+        g, terminals, s=0, w=None, precision=precision, width_cap=width_cap
     )
-    for pg, pt in deco.parts:
-        value = value * exact_reliability(
-            pg, pt, width_cap=width_cap, precision=precision
-        )
-    return value
+    if not res.exact:
+        raise GraphInvariantError("construction left mass undecided in exact run")
+    return Fraction(res.raw["estimate"]) if precision == "exact" else res.estimate
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from relnet import cli
 from relnet.cli import main
 from conftest import DATA_DIR
 
@@ -134,11 +135,16 @@ class TestEstimate:
 
 
 class TestExact:
-    def test_small_graph_uses_brute_force(self, path_graph_file, capsys):
+    def test_default_method_never_enumerates(self, path_graph_file, capsys,
+                                             monkeypatch):
+        def brute(*args, **kwargs):
+            raise AssertionError("the default method enumerated")
+
+        monkeypatch.setattr(cli, "brute_force_reliability", brute)
         assert run(["exact", "--graph", str(path_graph_file),
                     "--terminals", "0,2"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["method"] == "brute"
+        assert rep["method"] == "diagram" and "enumerated" not in rep
         assert rep["reliability"] == pytest.approx(0.3)
 
     def test_large_graph_uses_diagram(self, tmp_path, capsys):
@@ -151,6 +157,20 @@ class TestExact:
         assert run(["exact", "--graph", str(gf), "--terminals", "0,9"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["method"] == "diagram"
+
+    def test_width_cap_applies_to_parts(self, tmp_path, capsys):
+        # preprocessing leaves no part, where the whole-graph build reaches
+        # width 1,050
+        from relnet.generate import tree_rich_graph
+        from relnet.graph import write_graph
+
+        g = tree_rich_graph(50, cycle_count=4, seed=3)
+        gf = tmp_path / "g.edges"
+        write_graph(g, gf)
+        assert run(["exact", "--graph", str(gf), "--terminals", "0,9",
+                    "--width-cap", "100"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["reliability"] == pytest.approx(0.027021888787760236, abs=1e-12)
 
     def test_both_methods_agree(self, tmp_path, capsys):
         from relnet.generate import random_connected_graph

@@ -515,9 +515,10 @@ class TestSamplerMatchesQuotientSampling:
     def _check_build_and_root(self, g, t, w, s, seed):
         """Returns the build's strata and their hit nodes with an internal edge."""
         build = _build(g, t, w, s, "double", None)
-        chorded = sum(self._check(g, t, build.eo, st, seed) for st in build.strata)
-        root = _stratum(build.eo, t, 0, "deleted", [ROOT], 1.0, 300)
-        self._check(g, t, build.eo, root, seed)
+        eo = order_edges(g, t)
+        chorded = sum(self._check(g, t, eo, st, seed) for st in build.strata)
+        root = _stratum(eo, t, 0, "deleted", [ROOT], 1.0, 300)
+        self._check(g, t, eo, root, seed)
         return len(build.strata), chorded
 
     def test_small_cases(self):
@@ -556,11 +557,12 @@ class TestSamplerMatchesQuotientSampling:
 
         monkeypatch.setattr(rngmod, "stream", counting)
         build = _build(g, t, w, s, "double", None)
-        root = _stratum(build.eo, t, 0, "deleted", [ROOT], 1.0, 300)
+        eo = order_edges(g, t)
+        root = _stratum(eo, t, 0, "deleted", [ROOT], 1.0, 300)
         calls = [0, 0]
         for st in (*build.strata, root):
             streams.clear()
-            self._check(g, t, build.eo, st, seed)
+            self._check(g, t, eo, st, seed)
             ref, mc, ht = streams
             assert mc.getstate() == ref.getstate() == ht.getstate()
             assert mc.calls <= ref.calls == ht.calls
@@ -854,6 +856,7 @@ class TestConstruct:
         for seed in range(60):
             g, t = small_case(seed)
             ref = naive_reliability(g, t)
+            eo = order_edges(g, t)
             for w in (1, 2, 4, 16):
                 for s in (20, 200):
                     build = _build(g, t, w, s, "double", None)
@@ -865,7 +868,7 @@ class TestConstruct:
                         total = sum(float(nd.p) for nd in nodes)
                         mean = sum(
                             float(nd.p) / total * naive_reliability(
-                                *stratum_quotient(g, build.eo, st.layer, nd, t)
+                                *stratum_quotient(g, eo, st.layer, nd, t)
                             )
                             for nd in nodes
                         )
@@ -886,13 +889,14 @@ class TestConstruct:
         pairs_seen = 0
         for seed in range(60):
             g, t = small_case(seed)
+            eo = order_edges(g, t)
             for w in (1, 2, 4):
                 build = _build(g, t, w, 200, "double", None)
                 for st in build.strata:
                     layer, mass, nodes = st.layer, st.mass, _nodes(st)
                     if mass > 0.5:
                         continue
-                    suffix = _suffix_graph(g, build.eo, layer)
+                    suffix = _suffix_graph(g, eo, layer)
                     if len(nodes) << suffix.m > 64:
                         continue
                     masses = [float(nd.p) for nd in nodes]
@@ -901,8 +905,8 @@ class TestConstruct:
                         total += x
                     table = []
                     for i, nd in enumerate(nodes):
-                        quotient, qterms = stratum_quotient(g, build.eo, layer, nd, t)
-                        bits = _crossing_bits(build.eo, layer, nd)
+                        quotient, qterms = stratum_quotient(g, eo, layer, nd, t)
+                        bits = _crossing_bits(eo, layer, nd)
                         table.extend(
                             ((i, mask),
                              (masses[i] / total) * assignment_probability(suffix, mask),

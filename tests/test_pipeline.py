@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from relnet import estimators, pipeline
+from relnet import cli, estimators, pipeline
 from relnet.diagram import _build, exact_reliability
 from relnet.exact import brute_force_reliability
 from relnet.pipeline import (
@@ -16,9 +16,22 @@ from relnet.pipeline import (
     split_budget,
 )
 from relnet.generate import grid_graph, random_connected_graph, random_terminals
-from relnet.graph import TerminalSet, UncertainGraph, load_graph, parse_graph
+from relnet.graph import (
+    TerminalSet,
+    UncertainGraph,
+    load_graph,
+    parse_graph,
+    write_graph,
+)
 from relnet.reduction import preprocess
 from conftest import DATA_DIR, small_case
+
+
+# graphs that preprocessing solves entirely, so no part reaches construct()
+NO_PART_LEFT = pytest.mark.parametrize("text", [
+    "0 1 0.5\n1 2 0.5",  # both edges are bridges
+    "0 1 0.5\n1 2 0.5\n0 2 0.5",  # collapses to a bridge
+], ids=["path", "triangle"])
 
 
 class TestSplitBudget:
@@ -68,13 +81,11 @@ class TestEstimatePipeline:
             se = sd / len(values) ** 0.5
             assert abs(mean - ref) <= 3 * se + 1e-9
 
-    @pytest.mark.parametrize("text", [
-        "0 1 0.5\n1 2 0.5",  # both edges are bridges
-        "0 1 0.5\n1 2 0.5\n0 2 0.5",  # collapses to a bridge
-    ], ids=["path", "triangle"])
+    @NO_PART_LEFT
     @pytest.mark.parametrize("option", [
         {"s": -5}, {"w": 0}, {"estimator": "bogus"}, {"precision": "fuzzy"},
-    ], ids=["s", "w", "estimator", "precision"])
+        {"width_cap": 0},
+    ], ids=["s", "w", "estimator", "precision", "width_cap"])
     def test_options_are_checked_when_no_part_is_left(self, text, option):
         g = parse_graph(text)
         t = TerminalSet.of([0, 2])
@@ -210,6 +221,18 @@ class TestDecompositionReuse:
         assert cold == warm == cleared
         assert json.loads(cold[0])["samples_used"] > 0
 
+    def test_bench_search_preprocesses_once(self, tmp_path, monkeypatch):
+        # a search's exact reference and its repetitions share one
+        # decomposition
+        calls = self._count_preprocess(monkeypatch)
+        g = random_connected_graph(12, 20, seed=3)
+        gf = tmp_path / "g.edges"
+        write_graph(g, gf)
+        assert cli.main(["bench", "--graph", str(gf), "--k", "3", "--q1", "1",
+                         "--q2", "2", "--s", "200", "--w", "4",
+                         "--output", str(tmp_path / "bench.json")]) == 0
+        assert len(calls) == 1
+
     def test_preprocess_flag_is_part_of_the_key(self, karate_graph, monkeypatch):
         calls = self._count_preprocess(monkeypatch)
         t = self.KARATE_TERMINALS
@@ -258,6 +281,16 @@ class TestExactPipeline:
             assert float(exact_pipeline(g, t)) == pytest.approx(
                 brute_force_reliability(g, t).reliability, abs=1e-9
             )
+
+    @NO_PART_LEFT
+    @pytest.mark.parametrize("option", [{"precision": "fuzzy"}, {"width_cap": 0}],
+                             ids=["precision", "width_cap"])
+    def test_options_are_checked_when_no_part_is_left(self, text, option):
+        g = parse_graph(text)
+        t = TerminalSet.of([0, 2])
+        assert preprocess(g, t).parts == ()
+        with pytest.raises(ValueError):
+            exact_pipeline(g, t, **option)
 
     def test_no_preprocess_variant(self):
         g, t = small_case(3, max_edges=12)
