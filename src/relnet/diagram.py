@@ -7,7 +7,16 @@ undecided incident edges, which deletion priorities read, is derived per
 layer from its frontier vertices.  Prefixes proven connected or disconnected
 leave the diagram immediately and feed two running masses, the lower bound
 ``p_c`` and the complement of the upper bound ``p_d``.  Only one layer is
-resident at a time.
+resident at a time: expanding a node releases it.
+
+A node's two transitions depend only on its ``(comp, t)`` and on the step's
+signature, the positions and terminal flags of the decided edge's endpoints
+and where each next-frontier vertex comes from.  Along a regular order such
+as a grid strip's, one signature comes back once a column, so a layer whose
+signature recurs keeps its transitions in a table keyed by ``(comp, t)``,
+and the next layer with that signature looks its nodes up there before
+computing any.  Each table lives from one occurrence of its signature to
+the next, and no table outlives the build.
 
 When a layer outgrows the configured width, the lowest-priority nodes are
 deleted and become sampling strata.  A stratum's nodes share the layer's
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -196,6 +205,15 @@ class _LayerStep:
     next_src: tuple[int, ...]  # per new-frontier vertex: old pos, or -2 (u) / -3 (v)
     rem: tuple[int, ...]  # per new-frontier vertex: incident edges after this layer
 
+    @property
+    def signature(self) -> tuple:
+        """All that :func:`_apply_both` reads of the step.
+
+        Two layers with equal signatures give every node the same
+        transitions, whatever their edge or undecided edges.
+        """
+        return (self.u_pos, self.v_pos, self.u_tinit, self.v_tinit, self.next_src)
+
 
 def _make_step(
     g: UncertainGraph, eo: EdgeOrder, layer: int, terminals: TerminalSet
@@ -259,7 +277,8 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
 
     Returns (off, on) where each entry is ONE_SINK, ZERO_SINK, or the child
     attribute tuple produced by :func:`_finish`.  The shared bookkeeping
-    (component entry) is done once.
+    (component entry) is done once.  The result depends only on the node's
+    ``(comp, t)``, the step's :attr:`~_LayerStep.signature` and ``k``.
     """
     comp = node.comp
     baset = list(node.t)
@@ -649,6 +668,8 @@ def expand_layer(
     k: int,
     p_c: KahanSum | FractionSum,
     p_d: KahanSum | FractionSum,
+    table: Optional[dict] = None,
+    record: Optional[dict] = None,
 ) -> tuple[list[Node], float]:
     """Decide one layer's edge for every node of the layer.
 
@@ -657,13 +678,30 @@ def expand_layer(
     transition to the same sinks under every continuation, so their masses
     add without changing the bounds trajectory.  Returns the next layer, in
     creation order, and its total mass.
+
+    ``table`` maps a node's ``(comp, t)`` to the (off, on) pair that
+    :func:`_apply_both` gave it at an earlier layer with the same step
+    signature; a node found there is not recomputed.  ``record``, when
+    given, receives this layer's pair for every node under the same key.
+    ``nodes`` is consumed: each parent is released as soon as it is
+    expanded, so the two layers are never both resident in full.
     """
     pe_off = 1 - pe
+    known = {}.get if table is None else table.get
     nxt: dict[tuple, Node] = {}
     nxt_get = nxt.get
     resident_mass = 0.0
-    for nd in nodes:
-        off, on = _apply_both(nd, step, k)
+    nodes.reverse()
+    pop = nodes.pop
+    while nodes:
+        nd = pop()
+        key = (nd.comp, nd.t)
+        both = known(key)
+        if both is None:
+            both = _apply_both(nd, step, k)
+        if record is not None:
+            record[key] = both
+        off, on = both
         np_ = nd.p
         for res, mass in ((off, np_ * pe_off), (on, np_ * pe)):
             if res is ONE_SINK:
@@ -721,6 +759,12 @@ def _build(
     Every stratum draws from its own stream named by its layer and kind, so
     neither the seed nor the estimator changes what is built, and a build is
     reused across seeds.
+
+    Layers whose steps share a signature share transitions: a layer whose
+    signature comes back later records its nodes' transitions in a table,
+    which the next layer with that signature reads and then drops.  So at
+    most one table per recurring signature is alive, and none outlives the
+    build.
     """
     # a miss: drop the previous build now, so at most one is alive at a time
     # (this also zeroes the cache_info() counts)
@@ -793,11 +837,19 @@ def _build(
             "resident_mass": resident,
         }
 
-    for layer in range(g.m):
-        step = _make_step(g, eo, layer, terminals)
+    steps = [_make_step(g, eo, layer, terminals) for layer in range(g.m)]
+    recurrences = Counter(step.signature for step in steps)
+    tables: dict[tuple, dict] = {}
+    for layer, step in enumerate(steps):
+        sig = step.signature
+        recurrences[sig] -= 1
+        record = {} if recurrences[sig] else None
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, step, probs[step.edge_index], k, p_c, p_d
+            layer_nodes, step, probs[step.edge_index], k, p_c, p_d,
+            tables.pop(sig, None), record,
         )
+        if record is not None:
+            tables[sig] = record
         layers_done = layer + 1
         if width_cap is not None and len(layer_nodes) > width_cap:
             raise WidthCapExceeded(
@@ -812,6 +864,7 @@ def _build(
             layer_nodes, deleted = split_layer(layer_nodes, width, k, step.rem)
             deleted_mass = mass_of(deleted)
             samples_layer = add_stratum(deleted, deleted_mass, layer + 1, "deleted")
+            del deleted
             resident_mass = mass_of(layer_nodes)
         rows.append(
             row(layer + 1, len(layer_nodes), deleted_mass, samples_layer, resident_mass)

@@ -185,7 +185,7 @@ def estimate_pipeline(
         p_c=lower,
         p_d=1.0 - upper,
         s=s,
-        s_reduced=s_reduced if parts else 0,
+        s_reduced=s_reduced,
         samples_used=samples_used,
         variance=variance,
         estimator=estimator,

@@ -26,7 +26,7 @@ from relnet.diagram import (
     split_layer,
     stratum_quotient,
 )
-from relnet import rng as rngmod
+from relnet import diagram, rng as rngmod
 from relnet.estimators import (
     Bounds,
     StratumDraw,
@@ -306,6 +306,71 @@ class TestMerge:
                 assert got.keys() == expected.keys()
                 for key, mass in expected.items():
                     assert got[key] == pytest.approx(mass, abs=1e-15)
+
+
+class TestTransitionTables:
+    # a 6x40 strip: its BFS order repeats most step signatures a column later
+    STRIP = (grid_graph(6, 40, seed=0), TerminalSet.of([0, 119, 239]))
+
+    def test_a_hit_returns_what_apply_both_returns(self, monkeypatch):
+        g, t = self.STRIP
+        layer = 40
+        nodes = [ROOT]
+        for done in range(layer):
+            nodes, _, _ = _expand(g, t, done, nodes)
+        step = _make_step(g, order_edges(g, t), layer, t)
+
+        def expand(table, record):
+            p_c, p_d = KahanSum(), KahanSum()
+            fresh = [Node(nd.p, nd.comp, nd.t) for nd in nodes]
+            nxt, mass = expand_layer(
+                fresh, step, g.probs[step.edge_index], t.k, p_c, p_d, table, record
+            )
+            assert not fresh  # every parent is released
+            return ([(nd.p.hex(), nd.comp, nd.t) for nd in nxt], mass.hex(),
+                    p_c.value.hex(), p_d.value.hex())
+
+        table: dict = {}
+        computed = expand(None, table)
+        assert len(table) == len(nodes) > 50
+        assert computed[3] != (0.0).hex()  # some children reach a sink
+
+        def no_transition(*args):
+            raise AssertionError("a table hit recomputed a transition")
+
+        monkeypatch.setattr(diagram, "_apply_both", no_transition)
+        assert expand(table, None) == computed
+
+    def test_build_computes_few_transitions(self, monkeypatch):
+        g, t = self.STRIP
+        counts = {"computed": 0, "expanded": 0}
+        real_apply, real_expand = diagram._apply_both, diagram.expand_layer
+
+        def apply_both(*args):
+            counts["computed"] += 1
+            return real_apply(*args)
+
+        def expand(nodes, *args):
+            counts["expanded"] += len(nodes)
+            return real_expand(nodes, *args)
+
+        monkeypatch.setattr(diagram, "_apply_both", apply_both)
+        monkeypatch.setattr(diagram, "expand_layer", expand)
+        _build.cache_clear()
+        _build(g, t, 100, 10000, "double", None)
+        _build.cache_clear()
+        assert counts["expanded"] > 10000
+        assert counts["computed"] <= 0.6 * counts["expanded"]
+
+    def test_no_table_outlives_the_build(self):
+        g, t = self.STRIP
+        _build.cache_clear()
+        gc.collect()
+        before = len(gc.get_objects())
+        _build(g, t, 100, 10000, "double", None)
+        _build.cache_clear()
+        gc.collect()
+        assert abs(len(gc.get_objects()) - before) <= 20
 
 
 class TestPriority:

@@ -1,10 +1,10 @@
 """Golden reports: CLI output that a pure refactor must keep byte-identical.
 
 Each case runs ``relnet estimate`` on a fixed input and compares the JSON
-report (and, for the grid, the ``--trace`` CSV) with its file under
-``data/golden``.  Graph files are written under fixed relative names, so the
-``config.graph`` field of every report is stable.  After a change that is
-meant to move the numbers, rewrite the files with
+report (and, for the grid and the strip, the ``--trace`` CSV) with its file
+under ``data/golden``.  Graph files are written under fixed relative names,
+so the ``config.graph`` field of every report is stable.  After a change
+that is meant to move the numbers, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
 """
 
@@ -30,6 +30,8 @@ CASES = (
      ["--w", "100", "--seed", "0", "--estimator", "ht"]),
     ("grid10-mc", "grid10.edges", "0,55,99",
      ["--w", "100", "--seed", "1", "--trace", "grid10-mc.trace.csv"]),
+    ("strip6x40-mc", "strip6x40.edges", "0,119,239",
+     ["--w", "100", "--seed", "3", "--trace", "strip6x40-mc.trace.csv"]),
     ("karate-plain-mc", "karate.edges", "6,7,9,18,27",
      ["--no-bdd", "--s", "2000", "--seed", "0"]),
     ("karate-plain-ht", "karate.edges", "6,7,9,18,27",
@@ -43,6 +45,7 @@ CASES = (
 def _write_inputs() -> None:
     write_graph(random_connected_graph(12, 24, seed=5), "criterion8.edges")
     write_graph(grid_graph(10, 10, seed=0), "grid10.edges")
+    write_graph(grid_graph(6, 40, seed=3), "strip6x40.edges")
     write_graph(small_case(5)[0], "small5.edges")
     Path("karate.edges").write_bytes((DATA_DIR / "karate.edges").read_bytes())
 
