@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -149,13 +150,13 @@ def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         rows = csv_rows if csv_rows is not None else _flatten_rows(payload)
-        buf = []
+        buf = io.StringIO()
         if rows:
-            writer_keys = list(rows[0].keys())
-            buf.append(",".join(writer_keys))
-            for row in rows:
-                buf.append(",".join(str(row[k]) for k in writer_keys))
-        text = "\n".join(buf) + "\n"
+            keys = list(rows[0])
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([row[k] for k in keys] for row in rows)
+        text = buf.getvalue() or "\n"
     else:
         text = _text_report(payload) + "\n"
     out = getattr(args, "output", None)
@@ -354,7 +355,8 @@ def cmd_bench(args) -> int:
     methods = ("ours-mc", "ours-ht", "sampling-mc", "sampling-ht")
     rows: list[dict] = []
     sums: dict[str, dict[str, float]] = {
-        m: {"sq": 0.0, "abs_rel": 0.0, "count": 0.0} for m in methods
+        m: {"sq": 0.0, "abs_rel": 0.0, "count": 0.0, "seconds": 0.0}
+        for m in methods
     }
     for i in range(args.q1):
         terminals = random_terminals(g, args.k, seed=args.seed, tag=f"search-{i}")
@@ -364,10 +366,15 @@ def cmd_bench(args) -> int:
             exact_value = float(
                 exact_pipeline(g, terminals, width_cap=args.width_cap)
             )
-        for j in range(args.q2):
-            run_seed = rngmod.derive_seed(args.seed, "bench", i, j)
-            for method in methods:
-                kind = "mc" if method.endswith("mc") else "ht"
+        # a method's repetitions run together, so they share one build:
+        # ours-mc then ours-ht reuse the diagram, sampling-mc then
+        # sampling-ht the baseline's width-0 build
+        for method in methods:
+            kind = "mc" if method.endswith("mc") else "ht"
+            agg = sums[method]
+            for j in range(args.q2):
+                run_seed = rngmod.derive_seed(args.seed, "bench", i, j)
+                t_call = time.perf_counter()
                 if method.startswith("ours"):
                     res = estimate_pipeline(
                         g,
@@ -382,6 +389,7 @@ def cmd_bench(args) -> int:
                     res = plain_sample_estimate(
                         g, terminals, s=args.s, estimator=kind, seed=run_seed
                     )
+                agg["seconds"] += time.perf_counter() - t_call
                 row = {
                     "method": method,
                     "search": i,
@@ -393,7 +401,6 @@ def cmd_bench(args) -> int:
                 rows.append(row)
                 if exact_value is not None:
                     err = exact_value - res.estimate
-                    agg = sums[method]
                     agg["sq"] += err * err
                     if exact_value > 0:
                         agg["abs_rel"] += abs(err) / exact_value
@@ -407,6 +414,9 @@ def cmd_bench(args) -> int:
                 "variance": round_sig(agg["sq"] / agg["count"]),
                 "error_rate": round_sig(agg["abs_rel"] / agg["count"]),
             }
+        if args.timings:
+            # wall time of the method's calls, their builds included
+            aggregates.setdefault(method, {})["seconds"] = round(agg["seconds"], 6)
     payload = {
         "command": "bench",
         "config": _config_dict(args),

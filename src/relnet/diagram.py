@@ -35,9 +35,11 @@ nodes as plain columns, with no node object, together with what every draw
 of the stratum shares: its unreached terminals and checkpoint stretches.  A
 node's union-find start is made the first time a draw picks it and kept in
 the record, so a warm call, one that reuses the build with a new seed, does
-only the work that depends on the seed.  Only the most recent build is
-kept, so a graph that preprocessing splits into several parts rebuilds each
-part on every call.
+only the work that depends on the seed.  The plain-sampling baseline is a
+width-0 build, whose root is deleted before layer 1, and is kept and reused
+like any other.  Only the most recent build is kept, so a graph that
+preprocessing splits into several parts rebuilds each part on every call,
+and calls that alternate between the diagram and the baseline rebuild both.
 """
 
 from __future__ import annotations
@@ -641,7 +643,9 @@ def sample_group_stratum(
 
 @dataclass
 class BuildConfig:
-    width: Optional[int] = None  # None: unbounded (exact construction)
+    # None: unbounded (exact construction); 0: the root is deleted before
+    # layer 1, so its one stratum draws every edge (plain sampling)
+    width: Optional[int] = None
     samples: int = 0
     estimator: str = "mc"
     seed: int = 0
@@ -649,8 +653,8 @@ class BuildConfig:
     width_cap: Optional[int] = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.width is not None and self.width < 1:
-            raise ValueError("width must be >= 1")
+        if self.width is not None and self.width < 0:
+            raise ValueError("width must be >= 0")
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
         if self.estimator not in ("mc", "ht"):
@@ -837,7 +841,14 @@ def _build(
             "resident_mass": resident,
         }
 
-    steps = [_make_step(g, eo, layer, terminals) for layer in range(g.m)]
+    if width == 0:
+        # the root is deleted before layer 1: one stratum of mass 1 draws
+        # every edge, and no layer is expanded
+        add_stratum(layer_nodes, 1.0, 0, "deleted")
+        layer_nodes = []
+    steps = [] if width == 0 else [
+        _make_step(g, eo, layer, terminals) for layer in range(g.m)
+    ]
     recurrences = Counter(step.signature for step in steps)
     tables: dict[tuple, dict] = {}
     for layer, step in enumerate(steps):

@@ -3,8 +3,8 @@
 The reliability of a decomposed problem is the bridge factor times the
 product of the parts' reliabilities, so per-part estimates (or exact values)
 combine multiplicatively.  Sample budgets split across parts proportionally
-to edge counts.  A plain-sampling baseline without bounds or preprocessing
-is provided for comparisons.
+to edge counts.  The plain-sampling baseline for comparisons is the same
+construction at width 0 over the whole graph, without preprocessing.
 """
 
 from __future__ import annotations
@@ -16,20 +16,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import rng as rngmod
-from .diagram import (
-    BuildConfig,
-    Stratum,
-    construct,
-    order_edges,
-    sample_group_stratum,
-)
-from .estimators import (
-    Bounds,
-    EstimateReport,
-    combine_strata,
-    reduced_sample_count,
-    strata_variance,
-)
+from .diagram import BuildConfig, construct
+from .estimators import EstimateReport
 from .graph import GraphInvariantError, TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig
 from .reduction import Decomposition, preprocess, undecomposed
@@ -133,6 +121,8 @@ def estimate_pipeline(
     The most recent decomposition is reused when only the seed, the
     estimator or the budgets change.  Options are checked once, up front.
     """
+    if w is not None and w < 1:
+        raise ValueError("width must be >= 1")  # width 0 is the plain baseline
     config = BuildConfig(
         width=w, samples=s, estimator=estimator, seed=seed,
         precision=precision, width_cap=width_cap,
@@ -244,40 +234,34 @@ def plain_sample_estimate(
 ) -> PipelineResult:
     """Independent draws over the whole realization space.
 
-    The whole space is the root of a width-0 diagram, deleted before layer
-    1: one stratum of mass 1 with bounds of 0, drawn by the diagram's
-    sampler and combined and assessed by the same estimator code as the
-    diagram's strata.  Like :func:`construct`, it needs every edge
-    reachable from the smallest terminal.
+    This is :func:`construct` at width 0: the diagram's root is deleted
+    before layer 1, so one stratum of mass 1 with bounds of 0 draws every
+    edge.  Like any construction, it needs every edge reachable from the
+    smallest terminal, and a repeated call reuses the build.
     """
-    terminals.validate(g)
     if s < 1:
         raise ValueError("sample count must be >= 1")
-    if estimator not in ("mc", "ht"):
-        raise ValueError("estimator must be 'mc' or 'ht'")
     t0 = time.perf_counter()
-    root = Stratum(
-        order_edges(g, terminals), terminals, 0, "deleted",
-        (1.0,), ((),), ((),), 1.0, s,
+    rep = construct(
+        g, terminals,
+        BuildConfig(width=0, samples=s, estimator=estimator, seed=seed),
     )
-    strata = [
-        sample_group_stratum(root, seed=seed, want_outcomes=estimator == "ht")
-    ]
-    bounds = Bounds(0.0, 0.0)
-    est = combine_strata(estimator, strata, bounds)
-    variance = strata_variance(estimator, strata, bounds, est, s)
-    elapsed = time.perf_counter() - t0
     return PipelineResult(
-        estimate=est,
+        estimate=rep.estimate,
         bridge_factor=1.0,
-        p_c=bounds.p_c,
-        p_d=bounds.p_d,
+        p_c=rep.bounds.p_c,
+        p_d=rep.bounds.p_d,
         s=s,
-        s_reduced=reduced_sample_count(s, bounds),
-        samples_used=s,
-        variance=variance,
+        s_reduced=rep.budget.reduced,
+        samples_used=rep.samples_used,
+        variance=rep.variance,
         estimator=estimator,
-        exact=False,
+        exact=rep.exact,
         preprocessed=False,
-        timings={"preprocess": 0.0, "construct": 0.0, "sample": elapsed, "total": elapsed},
+        timings={
+            "preprocess": 0.0,
+            "construct": rep.timings["construct"],
+            "sample": rep.timings["sample"],
+            "total": time.perf_counter() - t0,
+        },
     )

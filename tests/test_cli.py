@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from relnet import cli
+from relnet import cli, diagram
 from relnet.cli import main
 from conftest import DATA_DIR
 
@@ -99,6 +99,16 @@ class TestEstimate:
         assert run(["estimate", "--graph", str(grid_file), "--terminals", "0,8",
                     "--no-bdd", "--precision", "exact", "--output", str(out)]) == 2
         assert not out.exists()
+
+    def test_csv_report_quotes_values_with_commas(self, tmp_path):
+        out = tmp_path / "rep.csv"
+        assert run(["estimate", "--graph", str(DATA_DIR / "karate.edges"),
+                    "--terminals", "6,7,9", "--s", "100", "--w", "10",
+                    "--format", "csv", "--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows[1:])["config.terminals"] == "6,7,9"
 
     def test_timings_flag_adds_section(self, path_graph_file, tmp_path):
         out = tmp_path / "rep.json"
@@ -299,6 +309,46 @@ class TestBench:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8  # 4 methods x q1 x q2
         assert {"method", "search", "rep", "estimate", "exact"} <= set(rows[0])
+
+    def test_one_build_per_search(self, tmp_path, monkeypatch):
+        # only a cold build orders the edges: each method's repetitions run
+        # together, so more repetitions add no build
+        builds = []
+        order_edges = diagram.order_edges
+
+        def counted(*args):
+            builds.append(args)
+            return order_edges(*args)
+
+        monkeypatch.setattr(diagram, "order_edges", counted)
+        counts = []
+        for q2 in ("1", "3"):
+            diagram._build.cache_clear()
+            builds.clear()
+            assert run(["bench", "--graph", str(DATA_DIR / "karate.edges"),
+                        "--k", "5", "--q1", "1", "--q2", q2, "--s", "100",
+                        "--w", "10", "--no-exact",
+                        "--output", str(tmp_path / "bench.json")]) == 0
+            counts.append(len(builds))
+        assert counts[0] == counts[1] > 0
+
+    def test_timings_add_per_method_seconds(self, grid_file, tmp_path):
+        argv = ["bench", "--graph", str(grid_file), "--k", "3", "--q1", "1",
+                "--q2", "2", "--s", "100", "--w", "2"]
+        reports = []
+        for extra in ([], ["--timings"]):
+            out = tmp_path / "bench.json"
+            assert run(argv + extra + ["--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        plain, timed = reports
+        assert sorted(timed["methods"]) == ["ours-ht", "ours-mc",
+                                            "sampling-ht", "sampling-mc"]
+        seconds = [agg.pop("seconds") for agg in timed["methods"].values()]
+        assert all(s > 0 for s in seconds)
+        assert sum(seconds) <= timed["timings"]["total"]
+        # without --timings the report has no seconds, and the draws match
+        assert timed["methods"] == plain["methods"]
+        assert timed["runs"] == plain["runs"]
 
 
 class TestErrorPaths:

@@ -777,6 +777,8 @@ class TestConstruct:
                 BuildConfig(width=2, samples=300, seed=1),
                 BuildConfig(width=2, samples=300, estimator="ht", seed=1),
                 BuildConfig(width=2, samples=300, seed=1, precision="exact"),
+                BuildConfig(width=0, samples=300, seed=1),
+                BuildConfig(width=0, samples=300, estimator="ht", seed=1),
             ):
                 _build.cache_clear()
                 runs = []

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from relnet import cli, estimators, pipeline
+from relnet import cli, diagram, estimators, pipeline
 from relnet.diagram import _build, exact_reliability
 from relnet.exact import brute_force_reliability
 from relnet.pipeline import (
@@ -350,7 +350,7 @@ class TestPlainSampling:
         def sampler(*args, **kwargs):
             raise AssertionError("drew before checking the options")
 
-        monkeypatch.setattr(pipeline, "sample_group_stratum", sampler)
+        monkeypatch.setattr(diagram, "sample_group_stratum", sampler)
         g, t = small_case(2, max_edges=12)
         with pytest.raises(ValueError):
             plain_sample_estimate(g, t, **{"s": 100, **option})
