@@ -17,7 +17,6 @@ from .diagram import (
 from .estimators import (
     Bounds,
     EstimateReport,
-    SampleBudget,
     StratumDraw,
     ht_estimate,
     ht_variance,
@@ -57,7 +56,6 @@ __all__ = [
     "GraphFormatError",
     "GraphInvariantError",
     "Node",
-    "SampleBudget",
     "StratumDraw",
     "TerminalSet",
     "UncertainGraph",

@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
 
     est = sub.add_parser("estimate", help="bounded construction plus sampling")
+    est.set_defaults(func=cmd_estimate)
     add_io(est)
     est.add_argument("--s", type=_int_at_least(1), default=10000, help="sample budget")
     est.add_argument("--w", type=_int_at_least(1), default=10000,
@@ -102,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
 
     exa = sub.add_parser("exact", help="exact reliability")
+    exa.set_defaults(func=cmd_exact)
     add_io(exa)
     exa.add_argument("--brute-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP,
                      help="edge cap for --method brute")
@@ -111,10 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     exa.add_argument("--timings", action="store_true")
 
     pre = sub.add_parser("preprocess", help="prune, decompose, transform")
+    pre.set_defaults(func=cmd_preprocess)
     add_io(pre)
     pre.add_argument("--out-dir", required=True, help="directory for part files")
 
     gen = sub.add_parser("gen", help="generate a synthetic uncertain graph")
+    gen.set_defaults(func=cmd_gen)
     gen.add_argument("--kind", choices=("grid", "scale-free", "random", "tree-rich"),
                      required=True)
     gen.add_argument("--rows", type=int, default=5)
@@ -128,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     ben = sub.add_parser("bench", help="accuracy harness against exact references")
+    ben.set_defaults(func=cmd_bench)
     add_io(ben, need_terminals=False)
     ben.add_argument("--k", type=_int_at_least(2), default=5,
                      help="terminals per search")
@@ -184,24 +189,31 @@ def _flatten_rows(payload: dict) -> list[dict]:
 
 
 def _text_report(payload: dict, indent: int = 0) -> str:
+    """``key: value`` lines, nested values indented under their key.
+
+    A blank line separates the dict entries of a list; an empty dict prints
+    its key alone.
+    """
     lines = []
     pad = "  " * indent
     for key in payload:
         val = payload[key]
         if isinstance(val, dict):
             lines.append(f"{pad}{key}:")
-            lines.append(_text_report(val, indent + 1))
+            if val:
+                lines.append(_text_report(val, indent + 1))
         elif isinstance(val, list):
             lines.append(f"{pad}{key}: [{len(val)} entries]")
-            for item in val:
+            for n, item in enumerate(val):
                 if isinstance(item, dict):
+                    if n:
+                        lines.append("")
                     lines.append(_text_report(item, indent + 1))
-                    lines.append("")
                 else:
                     lines.append(f"{pad}  {item}")
         else:
             lines.append(f"{pad}{key}: {val}")
-    return "\n".join(x for x in lines if x != "")
+    return "\n".join(lines)
 
 
 def _load_inputs(args) -> tuple[UncertainGraph, TerminalSet]:
@@ -436,17 +448,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        if args.command == "exact":
-            return cmd_exact(args)
-        if args.command == "preprocess":
-            return cmd_preprocess(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise UsageError(f"unknown command {args.command}")
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,11 +57,9 @@ from . import rng as rngmod
 from .estimators import (
     Bounds,
     EstimateReport,
-    SampleBudget,
     StratumDraw,
     combine_strata,
     reduced_sample_count,
-    strata_variance,
 )
 from .graph import (
     GraphInvariantError,
@@ -429,22 +427,22 @@ CHECK_SPACING = 8  # suffix edges between two checks, per root find a check take
 
 def _checkpoints(
     eo: EdgeOrder, layer: int, k: int, unreached: Sequence[int]
-) -> tuple[tuple[int, int, Optional[tuple]], ...]:
+) -> tuple[tuple[int, int, tuple[tuple[int, ...], int]], ...]:
     """The stretches [lo, hi) of a stratum's suffix between MC checkpoints.
 
     Returns (lo, hi, check) in position order, covering ``layer`` to the
     end.  A stretch is ``CHECK_SPACING`` times (k + frontier at lo) edges
-    long, and the last one, whose check is None, is as long or longer.
-    Otherwise the check, made once every suffix edge before hi is drawn, is
-    (live, rest): ``eo.frontiers[hi]`` plus the ``unreached`` terminals
-    still unreached at hi, and the count of suffix edges from hi on.  A
-    target whose root is no live vertex's root is in a component with no
-    undecided edge left.
+    long, and the last one is as long or longer.  The check, made once
+    every suffix edge before hi is drawn, is (live, rest):
+    ``eo.frontiers[hi]`` plus the ``unreached`` terminals still unreached
+    at hi, and the count of suffix edges from hi on.  A target whose root
+    is no live vertex's root is in a component with no undecided edge
+    left.  The last stretch ends the suffix, so its check is ``((), 0)``.
     """
     m = len(eo.edges)
     frontiers = eo.frontiers
     first = eo.first
-    plan: list[tuple[int, int, Optional[tuple]]] = []
+    plan: list[tuple[int, int, tuple[tuple[int, ...], int]]] = []
     lo = layer
     while True:
         gap = CHECK_SPACING * (k + len(frontiers[lo]))
@@ -454,7 +452,7 @@ def _checkpoints(
         live = frontiers[hi] + tuple(x for x in unreached if first[x] >= hi)
         plan.append((lo, hi, (live, m - hi)))
         lo = hi
-    plan.append((lo, m, None))
+    plan.append((lo, m, ((), 0)))
     return tuple(plan)
 
 
@@ -527,19 +525,25 @@ def sample_group_stratum(
     node's first pick), so each of its components is already joined.  It
     takes one ``random()`` per suffix edge, in order, joining the endpoints
     of every edge drawn; an edge inside one component joins nothing, so the
-    draw connects what sampling :func:`stratum_quotient` would.  An MC draw
-    stops at the first checkpoint (see :func:`_checkpoints`) that decides
-    it: all targets share one root, or a target's component has no
-    undecided edge left.  It then passes the stream over the ``rest`` suffix
-    edges it leaves with one ``getrandbits(64 * rest)``, which reads the
-    same 32-bit words as ``rest`` calls of ``random()``.
+    draw connects what sampling :func:`stratum_quotient` would.  A draw
+    succeeds when all its targets share one root.
+
+    An MC draw finds its targets' roots at each checkpoint of the plan (see
+    :func:`_checkpoints`) and stops at the first that decides it: all
+    targets share one root, or a target's component has no undecided edge
+    left.  The last checkpoint is the end of the suffix, so the roots found
+    at the check that stops a draw are its verdict.  A draw that stops
+    before the end passes the stream over the ``rest`` suffix edges it
+    leaves with one ``getrandbits(64 * rest)``, which reads the same 32-bit
+    words as ``rest`` calls of ``random()``.
 
     The stratum draws from its own stream, named by its layer and kind: a
     layer has at most one ``"deleted"`` and one ``"resident"`` stratum.  An
-    HT draw takes every suffix edge: its outcome is keyed by the node's
-    index and the suffix mask drawn, and its probability is the node's mass
-    share times the edge factors multiplied in edge order, as
-    :func:`assignment_probability` does.
+    HT draw takes every suffix edge and finds its roots once, after that
+    pass: its outcome is keyed by the node's index and the suffix mask
+    drawn, and its probability is the node's mass share times the edge
+    factors multiplied in edge order, as :func:`assignment_probability`
+    does.
     """
     st = stratum
     rng = rngmod.stream(seed, "layer", st.layer, st.kind)
@@ -549,7 +553,7 @@ def sample_group_stratum(
     total = cum[-1]
     last = len(cum) - 1
     edges = st.edges
-    segments = [(edges[lo:hi], check) for lo, hi, check in st.plan]
+    segments = [(edges[lo:hi], live, rest) for lo, hi, (live, rest) in st.plan]
     base = list(range(st.n))
     if st.starts is None:
         st.starts = ([None] * len(cum), [None] * len(cum), {})
@@ -578,7 +582,7 @@ def sample_group_stratum(
             mask = 0
             bit = 1
             q = 1.0
-            for seg, _ in segments:
+            for seg, _, _ in segments:
                 for a, b, p, p_off in seg:
                     if rnd() < p:
                         mask |= bit
@@ -593,8 +597,13 @@ def sample_group_stratum(
                     else:
                         q *= p_off
                     bit <<= 1
+            roots = set()
+            for x in targets:
+                while parent[x] != x:
+                    x = parent[x]
+                roots.add(x)
         else:
-            for seg, check in segments:
+            for seg, live, rest in segments:
                 for a, b, p, _ in seg:
                     if rnd() < p:
                         while parent[a] != a:
@@ -604,29 +613,22 @@ def sample_group_stratum(
                             parent[b] = parent[parent[b]]
                             b = parent[b]
                         parent[b] = a
-                if check is None:
-                    break
                 roots = set()
                 for x in targets:
                     while parent[x] != x:
                         x = parent[x]
                     roots.add(x)
-                live, rest = check
-                if len(roots) > 1:
-                    live_roots = set()
-                    for x in live:
-                        while parent[x] != x:
-                            x = parent[x]
-                        live_roots.add(x)
-                    if roots <= live_roots:
-                        continue  # undecided: draw the next segment
-                skip(64 * rest)
+                if rest:
+                    if len(roots) > 1:
+                        live_roots = set()
+                        for x in live:
+                            while parent[x] != x:
+                                x = parent[x]
+                            live_roots.add(x)
+                        if roots <= live_roots:
+                            continue  # undecided: draw the next segment
+                    skip(64 * rest)
                 break
-        roots = set()
-        for x in targets:
-            while parent[x] != x:
-                x = parent[x]
-            roots.add(x)
         ok = len(roots) == 1
         if ok:
             successes += 1
@@ -813,7 +815,7 @@ def _build(
         terminal counts, which most nodes of a layer share, are kept once.
         """
         nonlocal drawn
-        draws = max(0, min(int(s_prime * mass), s - drawn))
+        draws = min(int(s_prime * mass), s - drawn)
         if draws == 0:
             if mass > 0:
                 unsampled_mass.add(mass)
@@ -941,27 +943,24 @@ def construct(
 
     t_est = time.perf_counter()
     bounds = build.bounds
-    residual = build.residual
-    drawn = build.drawn
-    budget_final = SampleBudget(requested=config.samples, reduced=build.reduced)
     is_exact = bounds.undecided <= 1e-12 and not strata
     if is_exact:
-        estimate = bounds.p_c
-        variance = 0.0
+        estimate, variance = bounds.p_c, 0.0
     else:
-        estimate = combine_strata(config.estimator, strata, bounds, residual)
-        variance = strata_variance(config.estimator, strata, bounds, estimate, drawn)
-        variance += (0.5 * residual) ** 2  # midpoint fallback allowance
+        estimate, variance = combine_strata(
+            config.estimator, strata, bounds, build.residual
+        )
 
     report = EstimateReport(
         estimate=float(estimate),
         bounds=bounds,
-        budget=budget_final,
-        samples_used=drawn,
+        s=config.samples,
+        s_reduced=build.reduced,
+        samples_used=build.drawn,
         variance=variance,
         estimator=config.estimator,
         exact=is_exact,
-        unsampled_mass=residual,
+        unsampled_mass=build.residual,
         layers=build.layers,
         max_width=build.max_width,
         timings={

@@ -5,6 +5,8 @@ The realization space splits into three groups: proven connected (mass
 undecided region is ever sampled, which turns plain Monte Carlo into a
 stratified scheme whose variance shrinks as the bounds tighten, and lets the
 requested sample count be cut ahead of time without losing accuracy.
+:func:`combine_strata` is the one place where the bounds, the per-stratum
+draws and any unsampled mass become an estimate and its variance.
 
 Count reductions are computed in exact rational arithmetic over the decimal
 reading of the bounds, so floor thresholds land exactly (10000 samples with
@@ -48,16 +50,6 @@ class Bounds:
     @property
     def undecided(self) -> float:
         return max(0.0, 1.0 - self.p_c - self.p_d)
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    requested: int
-    reduced: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.reduced <= self.requested):
-            raise EstimatorError("reduced count outside [0, requested]")
 
 
 @dataclass
@@ -228,12 +220,15 @@ def combine_strata(
     strata: Sequence[StratumDraw],
     bounds: Bounds,
     unsampled_mass: float = 0.0,
-) -> float:
-    """Final estimate assembly used by the diagram builder and plain sampling.
+) -> tuple[float, float]:
+    """The estimate and its variance from the bounds and the strata's draws.
 
-    Undecided mass that received no draws contributes the midpoint of its
-    possible range (half its mass), which reduces to the midpoint rule for a
-    zero sample budget.
+    Monte Carlo uses the stratified variance over all draws taken;
+    Horvitz-Thompson scales each outcome's conditional probability by its
+    stratum mass and clamps its simplified variance at 0.  Undecided mass
+    that received no draws contributes the midpoint of its possible range
+    (half its mass) to the estimate and the square of that half to the
+    variance, which reduces to the midpoint rule for a zero sample budget.
     """
     sampled = [st for st in strata if st.draws > 0 and st.mass > 0]
     if kind == "mc":
@@ -242,34 +237,22 @@ def combine_strata(
         est = ht_estimate(sampled, bounds)
     else:
         raise EstimatorError(f"unknown estimator kind {kind!r}")
-    est += 0.5 * unsampled_mass
-    return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
-
-
-def strata_variance(
-    kind: str,
-    strata: Sequence[StratumDraw],
-    bounds: Bounds,
-    estimate: float,
-    draws: int,
-) -> float:
-    """Variance estimate for a :func:`combine_strata` result over ``draws`` draws.
-
-    Monte Carlo uses the stratified form; Horvitz-Thompson scales each
-    outcome's conditional probability by its stratum mass.
-    """
+    est = float(clamp(est + 0.5 * unsampled_mass, bounds.p_c, 1.0 - bounds.p_d))
+    draws = sum(st.draws for st in strata)
     if draws < 1:
-        return 0.0
-    if kind == "mc":
-        return stratified_mc_variance(estimate, bounds, draws)
-    records = [
-        (st.mass * q, connected)
-        for st in strata if st.outcomes
-        for _, q, connected in st.outcomes
-    ]
-    # the simplified correction can overshoot; a variance estimate reported
-    # to users stays nonnegative
-    return max(0.0, ht_variance(estimate, records, draws, bounds))
+        var = 0.0
+    elif kind == "mc":
+        var = stratified_mc_variance(est, bounds, draws)
+    else:
+        records = [
+            (st.mass * q, connected)
+            for st in strata if st.outcomes
+            for _, q, connected in st.outcomes
+        ]
+        # the simplified correction can overshoot; a variance estimate
+        # reported to users stays nonnegative
+        var = max(0.0, ht_variance(est, records, draws, bounds))
+    return est, var + (0.5 * unsampled_mass) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +261,16 @@ def strata_variance(
 
 @dataclass
 class EstimateReport:
-    """Outcome of one reliability estimation run."""
+    """Outcome of one reliability estimation run.
+
+    ``s`` is the requested sample count and ``s_reduced`` that count reduced
+    by the final bounds (see :func:`reduced_sample_count`).
+    """
 
     estimate: float
     bounds: Bounds
-    budget: SampleBudget
+    s: int
+    s_reduced: int
     samples_used: int
     variance: float
     estimator: str
@@ -295,6 +283,8 @@ class EstimateReport:
     raw: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (0 <= self.s_reduced <= self.s):
+            raise EstimatorError("reduced count outside [0, s]")
         lo, hi = self.bounds.p_c, 1.0 - self.bounds.p_d
         if not (lo - PROB_TOLERANCE <= self.estimate <= hi + PROB_TOLERANCE):
             raise EstimatorError(
@@ -306,8 +296,8 @@ class EstimateReport:
             "estimate": round_sig(self.estimate),
             "p_c": round_sig(self.bounds.p_c),
             "p_d": round_sig(self.bounds.p_d),
-            "s": self.budget.requested,
-            "s_reduced": self.budget.reduced,
+            "s": self.s,
+            "s_reduced": self.s_reduced,
             "samples_used": self.samples_used,
             "variance": round_sig(self.variance),
             "estimator": self.estimator,

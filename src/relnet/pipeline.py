@@ -163,7 +163,7 @@ def estimate_pipeline(
         upper *= 1.0 - rep.bounds.p_d
         all_exact = all_exact and rep.exact
         samples_used += rep.samples_used
-        s_reduced += rep.budget.reduced
+        s_reduced += rep.s_reduced
         var_acc *= rep.variance + rep.estimate * rep.estimate
         sq_acc *= rep.estimate * rep.estimate
     variance = max(0.0, pb * pb * (var_acc - sq_acc))
@@ -252,7 +252,7 @@ def plain_sample_estimate(
         p_c=rep.bounds.p_c,
         p_d=rep.bounds.p_d,
         s=s,
-        s_reduced=rep.budget.reduced,
+        s_reduced=rep.s_reduced,
         samples_used=rep.samples_used,
         variance=rep.variance,
         estimator=estimator,

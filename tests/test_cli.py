@@ -110,6 +110,20 @@ class TestEstimate:
         assert all(len(row) == 2 for row in rows)
         assert dict(rows[1:])["config.terminals"] == "6,7,9"
 
+    def test_text_format(self, tmp_path):
+        argv = ["estimate", "--graph", str(DATA_DIR / "karate.edges"),
+                "--terminals", "6,7,9", "--s", "100", "--w", "10"]
+        out = tmp_path / "rep.json"
+        assert run(argv + ["--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        out = tmp_path / "rep.txt"
+        assert run(argv + ["--format", "text", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "" not in lines  # one part: no list entries to separate
+        assert f"estimate: {rep['estimate']}" in lines
+        assert "parts: [1 entries]" in lines
+        assert f"  samples_used: {rep['parts'][0]['samples_used']}" in lines
+
     def test_timings_flag_adds_section(self, path_graph_file, tmp_path):
         out = tmp_path / "rep.json"
         assert run(["estimate", "--graph", str(path_graph_file),
@@ -309,6 +323,25 @@ class TestBench:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8  # 4 methods x q1 x q2
         assert {"method", "search", "rep", "estimate", "exact"} <= set(rows[0])
+
+    def test_text_format_separates_runs(self, grid_file, tmp_path):
+        argv = ["bench", "--graph", str(grid_file), "--k", "2", "--q1", "1",
+                "--q2", "2", "--s", "100", "--w", "4", "--no-exact"]
+        out = tmp_path / "bench.json"
+        assert run(argv + ["--output", str(out)]) == 0
+        rows = json.loads(out.read_text())["runs"]
+        out = tmp_path / "bench.txt"
+        assert run(argv + ["--format", "text", "--output", str(out)]) == 0
+        head, runs = out.read_text().split("runs: [8 entries]\n")
+        # with --no-exact the methods block is empty: its key stands alone
+        assert head.endswith("\nmethods:\n")
+        entries = runs.rstrip("\n").split("\n\n")
+        assert len(entries) == len(rows) == 8
+        for entry, row in zip(entries, rows):
+            fields = [line.strip().partition(":") for line in entry.splitlines()]
+            assert {key: val.strip() for key, _, val in fields} == {
+                key: str(val) for key, val in row.items()
+            }
 
     def test_one_build_per_search(self, tmp_path, monkeypatch):
         # only a cold build orders the edges: each method's repetitions run

@@ -4,8 +4,8 @@ import pytest
 
 from relnet.estimators import (
     Bounds,
+    EstimateReport,
     EstimatorError,
-    SampleBudget,
     StratumDraw,
     combine_strata,
     ht_estimate,
@@ -137,10 +137,16 @@ class TestReducedSampleCount:
                 prev = cur
 
     def test_budget_type(self):
-        b = SampleBudget(100, 40)
-        assert b.requested == 100 and b.reduced == 40
+        def report(s, s_reduced):
+            return EstimateReport(
+                estimate=0.5, bounds=Bounds(), s=s, s_reduced=s_reduced,
+                samples_used=0, variance=0.0, estimator="mc",
+            )
+
+        rep = report(100, 40)
+        assert rep.s == 100 and rep.s_reduced == 40
         with pytest.raises(EstimatorError):
-            SampleBudget(10, 11)
+            report(10, 11)
 
 
 class TestMcEstimate:
@@ -226,8 +232,14 @@ class TestHtEstimate:
 
 class TestCombineStrata:
     def test_unsampled_mass_contributes_midpoint(self):
-        est = combine_strata("mc", [], Bounds(0.2, 0.2), unsampled_mass=0.6)
-        assert est == pytest.approx(0.5)
+        # half the unsampled mass to the estimate, that half squared to the
+        # variance
+        out = combine_strata("mc", [], Bounds(0.2, 0.2), unsampled_mass=0.6)
+        assert out == pytest.approx((0.5, 0.09))
+        # HT with no draws reports only the midpoint allowance too
+        idle = [StratumDraw(mass=0.6, draws=0, successes=0)]
+        out = combine_strata("ht", idle, Bounds(0.2, 0.2), unsampled_mass=0.6)
+        assert out == pytest.approx((0.5, 0.09))
 
     def test_unknown_kind(self):
         with pytest.raises(EstimatorError):
