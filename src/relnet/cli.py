@@ -191,8 +191,8 @@ def _flatten_rows(payload: dict) -> list[dict]:
 def _text_report(payload: dict, indent: int = 0) -> str:
     """``key: value`` lines, nested values indented under their key.
 
-    A blank line separates the dict entries of a list; an empty dict prints
-    its key alone.
+    A blank line separates the dict entries of a list; an empty dict or an
+    empty string prints its key alone.
     """
     lines = []
     pad = "  " * indent
@@ -211,6 +211,8 @@ def _text_report(payload: dict, indent: int = 0) -> str:
                     lines.append(_text_report(item, indent + 1))
                 else:
                     lines.append(f"{pad}  {item}")
+        elif val == "":
+            lines.append(f"{pad}{key}:")
         else:
             lines.append(f"{pad}{key}: {val}")
     return "\n".join(lines)

@@ -25,8 +25,10 @@ Each draw completes one node with a union-find over vertex ids that starts
 with the node's components joined; an edge inside a component joins nothing.
 An MC draw stops at the first checkpoint where its outcome is decided and
 passes its random stream over the edges it leaves, so it draws what a full
-pass would.  The final estimate combines the bounds with the per-stratum
-draws.
+pass would.  Once a layer has been split, the build stops as soon as the
+nodes still resident hold less mass than one requested draw stands for, and
+their mass is left unsampled.  The final estimate combines the bounds with
+the per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, per-layer budgets and one flat record per scheduled
@@ -771,6 +773,13 @@ def _build(
     which the next layer with that signature reads and then drops.  So at
     most one table per recurring signature is alive, and none outlives the
     build.
+
+    Once some layer has been split, the build stops after the first layer
+    whose resident nodes either meet the budget when sampled or hold less
+    mass than one requested draw stands for (``s * mass < 1``); they become
+    a last ``"resident"`` stratum, which in the second case gets no draws
+    and leaves its mass unsampled.  A build that never splits, the exact
+    route's included, expands every layer.
     """
     # a miss: drop the previous build now, so at most one is alive at a time
     # (this also zeroes the cache_info() counts)
@@ -886,9 +895,17 @@ def _build(
         if not layer_nodes:
             break
 
-        # Budget check: once sampling has begun, stop constructing as soon
-        # as finishing by sampling the resident nodes meets the budget.
-        if drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime:
+        # Once some layer has been split, stop when sampling the resident
+        # nodes meets the budget, or when they hold less mass than one
+        # requested draw stands for (1/s): the budget never grows, so no
+        # descendant of theirs could earn a draw, and their stratum gets
+        # none, leaving its mass unsampled.
+        budget_met = drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime
+        too_light = (
+            s > 0 and s * resident_mass < 1
+            and (drawn > 0 or unsampled_mass.value > 0)
+        )
+        if budget_met or too_light:
             batch = add_stratum(layer_nodes, resident_mass, layer + 1, "resident")
             rows.append(row(layer + 1, 0, resident_mass, batch, 0.0))
             layer_nodes = []
@@ -922,8 +939,10 @@ def construct(
 
     Bounds accumulate monotonically as prefixes reach the sinks; the sample
     budget is re-reduced after every layer from the current bounds; deleted
-    and leftover nodes are sampled over the undecided suffix.  The most
-    recent build is reused when only the seed or the estimator changes.
+    and leftover nodes are sampled over the undecided suffix.  A split build
+    stops once its resident nodes cannot earn a draw (less than ``1/s`` of
+    mass), and their mass is reported as unsampled.  The most recent build
+    is reused when only the seed or the estimator changes.
     """
     terminals.validate(g)
     t_start = time.perf_counter()

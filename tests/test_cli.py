@@ -332,9 +332,13 @@ class TestBench:
         rows = json.loads(out.read_text())["runs"]
         out = tmp_path / "bench.txt"
         assert run(argv + ["--format", "text", "--output", str(out)]) == 0
-        head, runs = out.read_text().split("runs: [8 entries]\n")
-        # with --no-exact the methods block is empty: its key stands alone
+        text = out.read_text()
+        head, runs = text.split("runs: [8 entries]\n")
+        # with --no-exact the methods block and every run's exact value are
+        # empty: their keys stand alone, and no line ends in whitespace
         assert head.endswith("\nmethods:\n")
+        assert text.count("\n  exact:\n") == 8
+        assert all(line == line.rstrip() for line in text.splitlines())
         entries = runs.rstrip("\n").split("\n\n")
         assert len(entries) == len(rows) == 8
         for entry, row in zip(entries, rows):

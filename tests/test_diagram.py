@@ -1016,6 +1016,58 @@ class TestConstruct:
         assert abs(mean - ref) <= 3 * se + 1e-9
 
 
+class TestStopRule:
+    """A split build stops once its resident nodes cannot earn a draw."""
+
+    S = 10_000
+
+    @pytest.fixture(scope="class")
+    def strip(self):
+        from relnet.pipeline import exact_pipeline
+
+        g = grid_graph(6, 40, seed=3)
+        t = TerminalSet.of([0, 119, 239])
+        return g, t, exact_pipeline(g, t)
+
+    def test_split_build_stops_below_one_draw(self, strip):
+        from relnet.pipeline import estimate_pipeline
+
+        g, t, exact = strip
+        trace = []
+        res = estimate_pipeline(g, t, s=self.S, w=100, seed=3, trace=trace)
+        (part,), ((_, m),) = res.parts, res.part_shapes
+        assert part.layers < m
+        last = trace[-1]
+        assert (last["width"], last["samples_drawn"], last["resident_mass"]) == (0, 0, 0.0)
+        # the stop keys on the requested budget: keyed on the reduced one,
+        # which collapses with the bounds while p_c is 0, it fires earlier,
+        # on mass that could still have earned draws
+        stopped = last["deleted_mass"]
+        assert 0 < stopped < 1 / self.S
+        # every group that got no draw, the stopped one included, is unsampled
+        undrawn = sum(r["deleted_mass"] for r in trace if r["samples_drawn"] == 0)
+        assert part.unsampled_mass == pytest.approx(undrawn, rel=1e-12)
+        assert not res.exact
+        assert res.p_c <= exact <= 1 - res.p_d
+
+    def test_unbounded_width_stays_exact(self, strip):
+        # the stop waits for a split: the resident mass of this build falls
+        # below 1/s long before its last layer
+        from relnet.pipeline import estimate_pipeline
+
+        g, t, exact = strip
+        res = estimate_pipeline(g, t, s=self.S, w=100_000, seed=3)
+        assert res.exact
+        assert res.estimate == exact
+        assert res.estimate == pytest.approx(exact_reliability(g, t), rel=1e-12)
+
+    def test_no_budget_never_stops(self, strip):
+        # s = 0 asks for bounds only: every layer is expanded
+        g, t, _ = strip
+        rep = construct(g, t, BuildConfig(width=100, samples=0))
+        assert rep.layers == g.m and rep.samples_used == 0
+
+
 class TestExactReliability:
     def test_single_edge(self):
         g = parse_graph("0 1 0.7")
