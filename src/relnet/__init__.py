@@ -11,7 +11,6 @@ from .diagram import (
     WidthCapExceeded,
     construct,
     exact_reliability,
-    node_priority,
     order_edges,
 )
 from .estimators import (
@@ -72,7 +71,6 @@ __all__ = [
     "load_graph",
     "mc_estimate",
     "mc_variance",
-    "node_priority",
     "order_edges",
     "parse_graph",
     "plain_sample_estimate",

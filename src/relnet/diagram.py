@@ -2,12 +2,10 @@
 
 Edges are decided one per layer.  A node summarizes every realization prefix
 that is still undecided, keeping only per-frontier attributes: connected
-component ids and per-component terminal counts.  A component's count of
-undecided incident edges, which deletion priorities read, is derived per
-layer from its frontier vertices.  Prefixes proven connected or disconnected
-leave the diagram immediately and feed two running masses, the lower bound
-``p_c`` and the complement of the upper bound ``p_d``.  Only one layer is
-resident at a time: expanding a node releases it.
+component ids and per-component terminal counts.  Prefixes proven connected
+or disconnected leave the diagram immediately and feed two running masses,
+the lower bound ``p_c`` and the complement of the upper bound ``p_d``.  Only
+one layer is resident at a time: expanding a node releases it.
 
 A node's two transitions depend only on its ``(comp, t)`` and on the step's
 signature, the positions and terminal flags of the decided edge's endpoints
@@ -18,8 +16,8 @@ and the next layer with that signature looks its nodes up there before
 computing any.  Each table lives from one occurrence of its signature to
 the next, and no table outlives the build.
 
-When a layer outgrows the configured width, the lowest-priority nodes are
-deleted and become sampling strata.  A stratum's nodes share the layer's
+When a layer outgrows the configured width, the lightest nodes are deleted
+and become sampling strata.  A stratum's nodes share the layer's
 undecided edges, a suffix of the order's edge table, and draw all of it.
 Each draw completes one node with a union-find over vertex ids that starts
 with the node's components joined; an edge inside a component joins nothing.
@@ -96,7 +94,6 @@ class EdgeOrder:
     edges: tuple[tuple[int, int, float, float], ...]
     first: tuple[int, ...]
     frontiers: tuple[tuple[int, ...], ...]
-    incident_positions: tuple[tuple[int, ...], ...]
 
     @property
     def max_frontier(self) -> int:
@@ -131,21 +128,21 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     if len(order) != m:
         raise GraphInvariantError("graph is not connected")
 
-    positions = [0] * m
+    first = [m] * g.n
+    last = [-1] * g.n
     for pos, j in enumerate(order):
-        positions[j] = pos
-    inc_pos: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        inc_pos[v] = sorted(positions[j] for j in g.incident(v))
-    first = [p[0] if p else m for p in inc_pos]
+        for v in g.edges[j]:
+            if first[v] == m:
+                first[v] = pos
+            last[v] = pos
     # frontiers[l] holds v iff first[v] < l <= last[v]: sweep the layers,
     # entering v after layer first[v] and leaving after layer last[v]
     enter: list[list[int]] = [[] for _ in range(m)]
     leave: list[list[int]] = [[] for _ in range(m)]
-    for v, p in enumerate(inc_pos):
-        if p:
-            enter[p[0]].append(v)
-            leave[p[-1]].append(v)
+    for v in range(g.n):
+        if last[v] >= 0:
+            enter[first[v]].append(v)
+            leave[last[v]].append(v)
     frontier: list[int] = []
     frontiers: list[tuple[int, ...]] = [()]
     for pos in range(m):
@@ -160,7 +157,6 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
         edges=tuple((*g.edges[j], probs[j], 1.0 - probs[j]) for j in order),
         first=tuple(first),
         frontiers=tuple(frontiers),
-        incident_positions=tuple(tuple(p) for p in inc_pos),
     )
 
 
@@ -173,9 +169,7 @@ class Node:
 
     ``comp[i]`` is the component id of the i-th frontier vertex, ids
     canonical by first occurrence along the frontier.  ``t[c]`` counts the
-    terminals connected into component c.  A component's undecided edge
-    endpoints are not stored: they follow from ``comp`` and the layer, see
-    :func:`node_priority`.
+    terminals connected into component c.
     """
 
     __slots__ = ("p", "comp", "t")
@@ -205,7 +199,6 @@ class _LayerStep:
     u_tinit: int  # terminal count of u's singleton component on entry
     v_tinit: int
     next_src: tuple[int, ...]  # per new-frontier vertex: old pos, or -2 (u) / -3 (v)
-    rem: tuple[int, ...]  # per new-frontier vertex: incident edges after this layer
 
     @property
     def signature(self) -> tuple:
@@ -233,7 +226,6 @@ def _make_step(
             src.append(-3)
         else:
             src.append(pos[x])
-    inc = eo.incident_positions
     return _LayerStep(
         edge_index=j,
         u_pos=pos.get(u, -1),
@@ -241,7 +233,6 @@ def _make_step(
         u_tinit=1 if u in terminals.vertices else 0,
         v_tinit=1 if v in terminals.vertices else 0,
         next_src=tuple(src),
-        rem=tuple(len(inc[x]) - bisect_right(inc[x], layer) for x in fn),
     )
 
 
@@ -316,40 +307,17 @@ def _apply_both(node: Node, step: _LayerStep, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Priorities and deletion
+# Deletion
 # ---------------------------------------------------------------------------
 
-def node_priority(node: Node, k: int, rem: Sequence[int]) -> float:
-    """Deletion priority: mass times closeness to either sink.
-
-    A component scores t/k (nearly all terminals gathered) or 1/d (nearly
-    out of undecided edges), whichever is larger; nodes with no
-    terminal-bearing component score 0 and are deleted first.  d sums
-    ``rem``, the layer's undecided incident edges per frontier vertex, over
-    the component's frontier vertices.
-    """
-    d = [0] * len(node.t)
-    for c, r in zip(node.comp, rem):
-        d[c] += r
-    best = 0.0
-    for c, tc in enumerate(node.t):
-        if tc > 0:
-            score = max(tc / k, 1.0 / d[c])
-            if score > best:
-                best = score
-    return float(node.p) * best
-
-
-def split_layer(
-    nodes: list[Node], width: int, k: int, rem: Sequence[int]
-) -> tuple[list[Node], list[Node]]:
-    """Keep the ``width`` highest-priority nodes; the rest are deleted.
+def split_layer(nodes: list[Node], width: int) -> tuple[list[Node], list[Node]]:
+    """Keep the ``width`` heaviest nodes; the rest are deleted.
 
     Ties keep the input order, which is the layer's creation order.
     """
     if len(nodes) <= width:
         return nodes, []
-    ranked = sorted(nodes, key=lambda nd: -node_priority(nd, k, rem))
+    ranked = sorted(nodes, key=lambda nd: nd.p, reverse=True)
     return ranked[:width], ranked[width:]
 
 
@@ -883,7 +851,7 @@ def _build(
         deleted_mass = 0.0
         samples_layer = 0
         if width is not None and len(layer_nodes) > width:
-            layer_nodes, deleted = split_layer(layer_nodes, width, k, step.rem)
+            layer_nodes, deleted = split_layer(layer_nodes, width)
             deleted_mass = mass_of(deleted)
             samples_layer = add_stratum(deleted, deleted_mass, layer + 1, "deleted")
             del deleted

@@ -20,7 +20,6 @@ from relnet.diagram import (
     construct,
     exact_reliability,
     expand_layer,
-    node_priority,
     order_edges,
     sample_group_stratum,
     split_layer,
@@ -113,7 +112,6 @@ def _edge_order_by_definition(g, order):
         edges=tuple((*g.edges[j], g.probs[j], 1 - g.probs[j]) for j in order),
         first=tuple(first),
         frontiers=frontiers,
-        incident_positions=tuple(tuple(p) for p in inc_pos),
     )
 
 
@@ -373,54 +371,56 @@ class TestTransitionTables:
         assert abs(len(gc.get_objects()) - before) <= 20
 
 
-class TestPriority:
-    def test_formula(self):
-        nd = Node(0.1, (0,), (2,))
-        assert node_priority(nd, 4, (3,)) == pytest.approx(0.05)
-
-    def test_zero_without_terminals(self):
-        nd = Node(0.9, (0, 1), (0, 0))
-        assert node_priority(nd, 3, (2, 2)) == 0.0
-
-    def test_linear_in_mass(self):
-        lo = Node(0.1, (0,), (1,))
-        hi = Node(0.4, (0,), (1,))
-        assert node_priority(hi, 3, (2,)) == pytest.approx(
-            4 * node_priority(lo, 3, (2,))
-        )
-
-    def test_component_degree_sums_its_frontier_vertices(self):
-        # d of component 0 is 1 + 2 = 3, so it scores max(1/3, 1/3)
-        nd = Node(0.6, (0, 1, 0), (1, 0))
-        assert node_priority(nd, 3, (1, 5, 2)) == pytest.approx(0.2)
-
-    def test_split_layer_keeps_top(self):
+class TestSplitLayer:
+    def test_keeps_the_heaviest(self):
         nodes = [Node(p, (0,), (1,)) for p in (0.1, 0.5, 0.3)]
-        survivors, deleted = split_layer(nodes, 2, 2, (1,))
+        survivors, deleted = split_layer(nodes, 2)
         assert [nd.p for nd in survivors] == [0.5, 0.3]
         assert [nd.p for nd in deleted] == [0.1]
 
-    def test_split_layer_ties_keep_input_order(self):
+    def test_ties_keep_input_order(self):
         nodes = [Node(0.5, (0,), (1,)) for _ in range(4)]
-        survivors, deleted = split_layer(nodes, 2, 2, (1,))
+        survivors, deleted = split_layer(nodes, 2)
         assert survivors == nodes[:2] and deleted == nodes[2:]
 
-    def test_split_layer_noop_when_under_width(self):
+    def test_noop_when_under_width(self):
         nodes = [Node(0.5, (0,), (1,))]
-        survivors, deleted = split_layer(nodes, 5, 2, (1,))
+        survivors, deleted = split_layer(nodes, 5)
         assert survivors == nodes and deleted == []
 
-    def test_rem_counts_incident_edges_after_the_layer(self, karate_graph):
-        cases = [small_case(seed) for seed in range(60)]
-        cases.append((karate_graph, TerminalSet.of([6, 7, 9, 18, 27])))
-        for g, t in cases:
-            eo = order_edges(g, t)
-            for layer in range(g.m):
-                later = [g.edges[eo.order[pos]] for pos in range(layer + 1, g.m)]
-                expected = tuple(
-                    sum(x in edge for edge in later) for x in eo.frontiers[layer + 1]
-                )
-                assert _make_step(g, eo, layer, t).rem == expected
+    def test_no_deleted_node_outweighs_a_kept_node(self, karate_graph, monkeypatch):
+        # every real split of a build, copied because expanding the next
+        # layer releases the kept nodes; among nodes as heavy as the lightest
+        # kept one, those kept come first in creation order
+        splits = []
+
+        def recording(nodes, width):
+            kept, deleted = split_layer(nodes, width)
+            splits.append((list(nodes), list(kept), list(deleted)))
+            return kept, deleted
+
+        monkeypatch.setattr(diagram, "split_layer", recording)
+        cases = [(*small_case(seed), 2, 200) for seed in range(60)]
+        cases.append((karate_graph, TerminalSet.of([6, 7, 9, 18, 27]), 100, 10000))
+        # equal edge probabilities make equal masses, so some split cuts a tie
+        grid = grid_graph(4, 8)
+        uniform = UncertainGraph(n=grid.n, edges=grid.edges, probs=(0.9,) * grid.m)
+        cases.append((uniform, TerminalSet.of([0, 13, 31]), 4, 1000))
+        _build.cache_clear()
+        for g, t, w, s in cases:
+            _build(g, t, w, s, "double", None)
+        _build.cache_clear()
+        assert len(splits) > 100
+        cut_ties = 0
+        for nodes, kept, deleted in splits:
+            assert len(kept) + len(deleted) == len(nodes) and deleted
+            floor = min(nd.p for nd in kept)
+            assert max(nd.p for nd in deleted) <= floor
+            kept_ids = {id(nd) for nd in kept}
+            ties = [id(nd) in kept_ids for nd in nodes if nd.p == floor]
+            assert ties == sorted(ties, reverse=True)
+            cut_ties += not all(ties)
+        assert cut_ties > 0
 
 
 class TestDeleteAndSample:
@@ -432,19 +432,18 @@ class TestDeleteAndSample:
         while len(nodes) < 4 and layer < g.m - 1:
             nodes, _, _ = _expand(g, t, layer, nodes)
             layer += 1
-        rem = _make_step(g, eo, layer - 1, t).rem
-        return g, eo, t, nodes, layer, rem
+        return g, eo, t, nodes, layer
 
     def test_under_width_is_noop(self):
-        _g, _eo, t, nodes, _layer, rem = self._layer(6)
-        survivors, deleted = split_layer(nodes, len(nodes), t.k, rem)
+        _g, _eo, _t, nodes, _layer = self._layer(6)
+        survivors, deleted = split_layer(nodes, len(nodes))
         assert survivors == nodes
         assert deleted == []
 
     def test_deleted_nodes_become_a_stratum(self):
-        g, eo, t, nodes, layer, rem = self._layer(6)
+        g, eo, t, nodes, layer = self._layer(6)
         assert len(nodes) >= 2
-        survivors, deleted = split_layer(nodes, 1, t.k, rem)
+        survivors, deleted = split_layer(nodes, 1)
         mass = sum(float(nd.p) for nd in deleted)
         stratum = sample_group_stratum(
             _stratum(eo, t, layer, "deleted", deleted, mass, 30), seed=0
