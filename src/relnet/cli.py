@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import rng as rngmod
-from .diagram import WidthCapExceeded
+from .diagram import DEFAULT_WIDTH_CAP, WidthCapExceeded
 from .exact import DEFAULT_EDGE_CAP, EdgeCapExceeded, brute_force_reliability
 from .estimators import EstimatorError
 from .generate import (
@@ -100,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--no-preprocess", action="store_true")
     est.add_argument("--trace", help="write per-layer CSV trace here")
     est.add_argument("--timings", action="store_true", help="include timings in report")
-    est.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
+    est.add_argument("--width-cap", type=_int_at_least(1), default=DEFAULT_WIDTH_CAP)
 
     exa = sub.add_parser("exact", help="exact reliability")
     exa.set_defaults(func=cmd_exact)
     add_io(exa)
     exa.add_argument("--brute-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP,
                      help="edge cap for --method brute")
-    exa.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
+    exa.add_argument("--width-cap", type=_int_at_least(1), default=DEFAULT_WIDTH_CAP)
     exa.add_argument("--precision", choices=("double", "exact"), default="double")
     exa.add_argument("--method", choices=("brute", "diagram"), default="diagram")
     exa.add_argument("--timings", action="store_true")
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--s", type=_int_at_least(1), default=1000)
     ben.add_argument("--w", type=_int_at_least(1), default=1000)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--width-cap", type=_int_at_least(1), default=1_000_000)
+    ben.add_argument("--width-cap", type=_int_at_least(1), default=DEFAULT_WIDTH_CAP)
     ben.add_argument("--no-exact", action="store_true",
                      help="skip exact references (error rates omitted)")
     ben.add_argument("--timings", action="store_true")

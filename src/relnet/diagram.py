@@ -8,13 +8,13 @@ the lower bound ``p_c`` and the complement of the upper bound ``p_d``.  Only
 one layer is resident at a time: expanding a node releases it.
 
 A node's two transitions depend only on its ``(comp, t)`` and on the step's
-signature, the positions and terminal flags of the decided edge's endpoints
-and where each next-frontier vertex comes from.  Along a regular order such
-as a grid strip's, one signature comes back once a column, so a layer whose
-signature recurs keeps its transitions in a table keyed by ``(comp, t)``,
-and the next layer with that signature looks its nodes up there before
-computing any.  Each table lives from one occurrence of its signature to
-the next, and no table outlives the build.
+signature (:func:`_signature`), the positions and terminal flags of the
+decided edge's endpoints and where each next-frontier vertex comes from.
+Along a regular order such as a grid strip's, one signature comes back once
+a column, so a layer whose signature recurs keeps its transitions in a table
+keyed by ``(comp, t)``, and the next layer with that signature looks its
+nodes up there before computing any.  Each table lives from one occurrence
+of its signature to the next, and no table outlives the build.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
@@ -69,6 +69,9 @@ from .graph import (
     sample_possible_graph,  # noqa: F401
 )
 from .numerics import FractionSum, KahanSum, Probability
+
+
+DEFAULT_WIDTH_CAP = 1_000_000
 
 
 class WidthCapExceeded(RuntimeError):
@@ -189,50 +192,32 @@ ONE_SINK = "one"
 ZERO_SINK = "zero"
 
 
-@dataclass(frozen=True)
-class _LayerStep:
-    """Precomputed geometry for deciding the edge at one layer."""
+def _signature(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple:
+    """All that :func:`_apply_both` reads of the step deciding ``layer``.
 
-    edge_index: int
-    u_pos: int  # position of u in the old frontier, -1 if entering
-    v_pos: int
-    u_tinit: int  # terminal count of u's singleton component on entry
-    v_tinit: int
-    next_src: tuple[int, ...]  # per new-frontier vertex: old pos, or -2 (u) / -3 (v)
-
-    @property
-    def signature(self) -> tuple:
-        """All that :func:`_apply_both` reads of the step.
-
-        Two layers with equal signatures give every node the same
-        transitions, whatever their edge or undecided edges.
-        """
-        return (self.u_pos, self.v_pos, self.u_tinit, self.v_tinit, self.next_src)
-
-
-def _make_step(
-    g: UncertainGraph, eo: EdgeOrder, layer: int, terminals: TerminalSet
-) -> _LayerStep:
-    j = eo.order[layer]
-    u, v = g.edges[j]
-    fl = eo.frontiers[layer]
-    fn = eo.frontiers[layer + 1]
-    pos = {x: i for i, x in enumerate(fl)}
+    Returns (u_pos, v_pos, u_tinit, v_tinit, next_src): the positions of the
+    edge's endpoints in the old frontier (-1 if entering), the terminal
+    count of each endpoint's singleton component on entry, and per
+    new-frontier vertex its old position, or -2 (u) / -3 (v).  Two layers
+    with equal signatures give every node the same transitions, whatever
+    their edge or undecided edges.
+    """
+    u, v = eo.edges[layer][:2]
+    pos = {x: i for i, x in enumerate(eo.frontiers[layer])}
     src = []
-    for x in fn:
+    for x in eo.frontiers[layer + 1]:
         if x == u:
             src.append(-2)
         elif x == v:
             src.append(-3)
         else:
             src.append(pos[x])
-    return _LayerStep(
-        edge_index=j,
-        u_pos=pos.get(u, -1),
-        v_pos=pos.get(v, -1),
-        u_tinit=1 if u in terminals.vertices else 0,
-        v_tinit=1 if v in terminals.vertices else 0,
-        next_src=tuple(src),
+    return (
+        pos.get(u, -1),
+        pos.get(v, -1),
+        1 if u in terminals.vertices else 0,
+        1 if v in terminals.vertices else 0,
+        tuple(src),
     )
 
 
@@ -265,34 +250,31 @@ def _finish(src, t, nc, merged_from, merged_to):
     return (tuple(cc), tuple(ct), tuple(sign))
 
 
-def _apply_both(node: Node, step: _LayerStep, k: int):
-    """Both transitions of a node across one edge decision.
+def _apply_both(comp: tuple[int, ...], t: tuple[int, ...], sig: tuple, k: int):
+    """Both transitions of a node ``(comp, t)`` across one edge decision.
 
-    Returns (off, on) where each entry is ONE_SINK, ZERO_SINK, or the child
-    attribute tuple produced by :func:`_finish`.  The shared bookkeeping
-    (component entry) is done once.  The result depends only on the node's
-    ``(comp, t)``, the step's :attr:`~_LayerStep.signature` and ``k``.
+    ``sig`` is the step's :func:`_signature`.  Returns (off, on) where each
+    entry is ONE_SINK, ZERO_SINK, or the child attribute tuple produced by
+    :func:`_finish`.  The shared bookkeeping (component entry) is done once.
     """
-    comp = node.comp
-    baset = list(node.t)
+    u_pos, v_pos, u_tinit, v_tinit, next_src = sig
+    baset = list(t)
 
-    u_pos = step.u_pos
     if u_pos >= 0:
         cu = comp[u_pos]
     else:
         cu = len(baset)
-        baset.append(step.u_tinit)
-    v_pos = step.v_pos
+        baset.append(u_tinit)
     if v_pos >= 0:
         cv = comp[v_pos]
     else:
         cv = len(baset)
-        baset.append(step.v_tinit)
+        baset.append(v_tinit)
     nc = len(baset)
 
     src = [
         comp[s] if s >= 0 else (cu if s == -2 else cv)
-        for s in step.next_src
+        for s in next_src
     ]
     off = _finish(src, baset, nc, -1, -1)
     if cu == cv:
@@ -622,7 +604,7 @@ class BuildConfig:
     estimator: str = "mc"
     seed: int = 0
     precision: str = "double"  # or "exact"
-    width_cap: Optional[int] = 1_000_000
+    width_cap: Optional[int] = DEFAULT_WIDTH_CAP
 
     def __post_init__(self) -> None:
         if self.width is not None and self.width < 0:
@@ -639,7 +621,7 @@ class BuildConfig:
 
 def expand_layer(
     nodes: list[Node],
-    step: _LayerStep,
+    sig: tuple,
     pe: Probability,
     k: int,
     p_c: KahanSum | FractionSum,
@@ -655,12 +637,13 @@ def expand_layer(
     add without changing the bounds trajectory.  Returns the next layer, in
     creation order, and its total mass.
 
-    ``table`` maps a node's ``(comp, t)`` to the (off, on) pair that
-    :func:`_apply_both` gave it at an earlier layer with the same step
-    signature; a node found there is not recomputed.  ``record``, when
-    given, receives this layer's pair for every node under the same key.
-    ``nodes`` is consumed: each parent is released as soon as it is
-    expanded, so the two layers are never both resident in full.
+    ``sig`` is the layer's :func:`_signature`, and ``table`` maps a node's
+    ``(comp, t)`` to the (off, on) pair that :func:`_apply_both` gave it at
+    an earlier layer with the same signature; a node found there is not
+    recomputed.  ``record``, when given, receives this layer's pair for
+    every node under the same key.  ``nodes`` is consumed: each parent is
+    released as soon as it is expanded, so the two layers are never both
+    resident in full.
     """
     pe_off = 1 - pe
     known = {}.get if table is None else table.get
@@ -674,7 +657,7 @@ def expand_layer(
         key = (nd.comp, nd.t)
         both = known(key)
         if both is None:
-            both = _apply_both(nd, step, k)
+            both = _apply_both(nd.comp, nd.t, sig, k)
         if record is not None:
             record[key] = both
         off, on = both
@@ -825,17 +808,16 @@ def _build(
         # every edge, and no layer is expanded
         add_stratum(layer_nodes, 1.0, 0, "deleted")
         layer_nodes = []
-    steps = [] if width == 0 else [
-        _make_step(g, eo, layer, terminals) for layer in range(g.m)
+    sigs = [] if width == 0 else [
+        _signature(eo, layer, terminals) for layer in range(g.m)
     ]
-    recurrences = Counter(step.signature for step in steps)
+    recurrences = Counter(sigs)
     tables: dict[tuple, dict] = {}
-    for layer, step in enumerate(steps):
-        sig = step.signature
+    for layer, sig in enumerate(sigs):
         recurrences[sig] -= 1
         record = {} if recurrences[sig] else None
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, step, probs[step.edge_index], k, p_c, p_d,
+            layer_nodes, sig, probs[eo.order[layer]], k, p_c, p_d,
             tables.pop(sig, None), record,
         )
         if record is not None:
@@ -970,7 +952,7 @@ def exact_reliability(
     g: UncertainGraph,
     terminals: TerminalSet,
     *,
-    width_cap: int = 1_000_000,
+    width_cap: int = DEFAULT_WIDTH_CAP,
     precision: str = "double",
 ) -> Probability:
     """Exact reliability of the whole graph via the unbounded construction.

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import rng as rngmod
-from .diagram import BuildConfig, construct
+from .diagram import DEFAULT_WIDTH_CAP, BuildConfig, construct
 from .estimators import EstimateReport
 from .graph import GraphInvariantError, TerminalSet, UncertainGraph
 from .numerics import Probability, round_sig
@@ -113,7 +113,7 @@ def estimate_pipeline(
     seed: int = 0,
     precision: str = "double",
     use_preprocess: bool = True,
-    width_cap: Optional[int] = 1_000_000,
+    width_cap: Optional[int] = DEFAULT_WIDTH_CAP,
     trace: Optional[list] = None,
 ) -> PipelineResult:
     """Full pipeline: preprocess, construct per part, combine by product.
@@ -204,7 +204,7 @@ def exact_pipeline(
     g: UncertainGraph,
     terminals: TerminalSet,
     *,
-    width_cap: int = 1_000_000,
+    width_cap: int = DEFAULT_WIDTH_CAP,
     precision: str = "double",
 ) -> Probability:
     """Exact reliability: :func:`estimate_pipeline` with no width and no draws.

@@ -12,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from relnet.exact import DEFAULT_EDGE_CAP, EdgeCapExceeded
 from relnet.graph import TerminalSet, UncertainGraph
 from relnet.generate import random_connected_graph, random_terminals
-from relnet.numerics import KahanSum
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,46 +49,6 @@ def _bfs_all_reached(adj, terms) -> bool:
                 seen.add(y)
                 stack.append(y)
     return all(t in seen for t in terms)
-
-
-def brute_force_unreliability(
-    g: UncertainGraph, terminals: TerminalSet, *, cap: int = DEFAULT_EDGE_CAP
-) -> float:
-    """Mass of the disconnected realizations, summed by direct enumeration.
-
-    Complement of :func:`brute_force_reliability`, computed independently
-    (plain binary order, fresh products, BFS connectivity) so the two can be
-    cross-checked against each other.
-    """
-    terminals.validate(g)
-    m = g.m
-    if m > cap:
-        raise EdgeCapExceeded(f"{m} edges exceeds enumeration cap {cap}")
-    probs = g.probs
-    terms = terminals.sorted()
-    total = KahanSum()
-    for mask in range(1 << m):
-        prob = 1.0
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for j in range(m):
-            if mask >> j & 1:
-                prob *= probs[j]
-                u, v = g.edges[j]
-                adj[u].append(v)
-                adj[v].append(u)
-            else:
-                prob *= 1.0 - probs[j]
-        seen = {terms[0]}
-        queue = [terms[0]]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if any(t not in seen for t in terms):
-            total.add(prob)
-    return total.value
 
 
 def small_case(seed: int, *, max_edges: int = 14):

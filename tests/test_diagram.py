@@ -15,8 +15,8 @@ from relnet.diagram import (
     Stratum,
     WidthCapExceeded,
     _apply_both,
-    _make_step,
     _build,
+    _signature,
     construct,
     exact_reliability,
     expand_layer,
@@ -136,7 +136,7 @@ def _nodes(st):
 
 def _both(g, t, layer, node):
     """(off, on) results of the real transition at one layer."""
-    return _apply_both(node, _make_step(g, order_edges(g, t), layer, t), t.k)
+    return _apply_both(node.comp, node.t, _signature(order_edges(g, t), layer, t), t.k)
 
 
 def _child(res):
@@ -148,8 +148,9 @@ def _child(res):
 def _expand(g, t, layer, nodes):
     """One real construction step: (next layer, p_c, p_d)."""
     p_c, p_d = KahanSum(), KahanSum()
-    step = _make_step(g, order_edges(g, t), layer, t)
-    nxt, _ = expand_layer(nodes, step, g.probs[step.edge_index], t.k, p_c, p_d)
+    eo = order_edges(g, t)
+    pe = g.probs[eo.order[layer]]
+    nxt, _ = expand_layer(nodes, _signature(eo, layer, t), pe, t.k, p_c, p_d)
     return nxt, p_c.value, p_d.value
 
 
@@ -316,13 +317,14 @@ class TestTransitionTables:
         nodes = [ROOT]
         for done in range(layer):
             nodes, _, _ = _expand(g, t, done, nodes)
-        step = _make_step(g, order_edges(g, t), layer, t)
+        eo = order_edges(g, t)
+        sig = _signature(eo, layer, t)
 
         def expand(table, record):
             p_c, p_d = KahanSum(), KahanSum()
             fresh = [Node(nd.p, nd.comp, nd.t) for nd in nodes]
             nxt, mass = expand_layer(
-                fresh, step, g.probs[step.edge_index], t.k, p_c, p_d, table, record
+                fresh, sig, g.probs[eo.order[layer]], t.k, p_c, p_d, table, record
             )
             assert not fresh  # every parent is released
             return ([(nd.p.hex(), nd.comp, nd.t) for nd in nxt], mass.hex(),

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from relnet import cli, diagram, estimators, pipeline
-from relnet.diagram import _build, exact_reliability
+from relnet.diagram import BuildConfig, _build, construct, exact_reliability
 from relnet.exact import brute_force_reliability
 from relnet.pipeline import (
     _decomposition,
@@ -17,6 +17,7 @@ from relnet.pipeline import (
 )
 from relnet.generate import grid_graph, random_connected_graph, random_terminals
 from relnet.graph import (
+    GraphInvariantError,
     TerminalSet,
     UncertainGraph,
     load_graph,
@@ -333,6 +334,24 @@ class TestDisconnectedTerminals:
                 assert res.p_c == 0.0 and res.p_d == 1.0
                 if precision == "exact":
                     assert res.raw == {"bridge_factor": "0", "estimate": "0"}
+
+
+class TestUnreachableEdge:
+    # the terminals share a component, but edge 2-3 is unreachable from 0
+    GRAPH = "0 1 0.5\n2 3 0.5"
+
+    def test_only_preprocessing_drops_it(self):
+        g = parse_graph(self.GRAPH, require_connected=False)
+        t = TerminalSet.of([0, 1])
+        assert estimate_pipeline(g, t, s=100, w=2, seed=0).estimate == 0.5
+        calls = (
+            lambda: construct(g, t, BuildConfig(width=2, samples=100)),
+            lambda: plain_sample_estimate(g, t, s=100, seed=0),
+            lambda: estimate_pipeline(g, t, s=100, w=2, seed=0, use_preprocess=False),
+        )
+        for call in calls:
+            with pytest.raises(GraphInvariantError, match="graph is not connected"):
+                call()
 
 
 class TestPlainSampling:
