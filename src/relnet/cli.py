@@ -40,11 +40,7 @@ from .graph import (
     write_graph,
 )
 from .numerics import round_sig
-from .pipeline import (
-    estimate_pipeline,
-    exact_pipeline,
-    plain_sample_estimate,
-)
+from .pipeline import estimate_pipeline, exact_pipeline
 from .reduction import preprocess
 
 EXIT_OK = 0
@@ -233,23 +229,19 @@ def cmd_estimate(args) -> int:
         )
     g, terminals = _load_inputs(args)
     trace_rows: Optional[list] = [] if args.trace else None
-    if args.no_bdd:
-        result = plain_sample_estimate(
-            g, terminals, s=args.s, estimator=args.estimator, seed=args.seed
-        )
-    else:
-        result = estimate_pipeline(
-            g,
-            terminals,
-            s=args.s,
-            w=args.w,
-            estimator=args.estimator,
-            seed=args.seed,
-            precision=args.precision,
-            use_preprocess=not args.no_preprocess,
-            width_cap=args.width_cap,
-            trace=trace_rows,
-        )
+    # --no-bdd is the pipeline at width 0 over the unreduced graph
+    result = estimate_pipeline(
+        g,
+        terminals,
+        s=args.s,
+        w=0 if args.no_bdd else args.w,
+        estimator=args.estimator,
+        seed=args.seed,
+        precision=args.precision,
+        use_preprocess=not (args.no_bdd or args.no_preprocess),
+        width_cap=args.width_cap,
+        trace=trace_rows,
+    )
     if trace_rows is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
@@ -380,29 +372,29 @@ def cmd_bench(args) -> int:
             exact_value = float(
                 exact_pipeline(g, terminals, width_cap=args.width_cap)
             )
-        # a method's repetitions run together, so they share one build:
-        # ours-mc then ours-ht reuse the diagram, sampling-mc then
-        # sampling-ht the baseline's width-0 build
+        # a method's repetitions run together, so they share one
+        # decomposition and one build: ours-mc then ours-ht reuse the
+        # diagram, sampling-mc then sampling-ht the width-0 build of the
+        # unreduced graph
         for method in methods:
             kind = "mc" if method.endswith("mc") else "ht"
+            w, use_preprocess = (
+                (args.w, True) if method.startswith("ours") else (0, False)
+            )
             agg = sums[method]
             for j in range(args.q2):
                 run_seed = rngmod.derive_seed(args.seed, "bench", i, j)
                 t_call = time.perf_counter()
-                if method.startswith("ours"):
-                    res = estimate_pipeline(
-                        g,
-                        terminals,
-                        s=args.s,
-                        w=args.w,
-                        estimator=kind,
-                        seed=run_seed,
-                        width_cap=args.width_cap,
-                    )
-                else:
-                    res = plain_sample_estimate(
-                        g, terminals, s=args.s, estimator=kind, seed=run_seed
-                    )
+                res = estimate_pipeline(
+                    g,
+                    terminals,
+                    s=args.s,
+                    w=w,
+                    estimator=kind,
+                    seed=run_seed,
+                    use_preprocess=use_preprocess,
+                    width_cap=args.width_cap,
+                )
                 agg["seconds"] += time.perf_counter() - t_call
                 row = {
                     "method": method,

@@ -3,8 +3,11 @@
 The reliability of a decomposed problem is the bridge factor times the
 product of the parts' reliabilities, so per-part estimates (or exact values)
 combine multiplicatively.  Sample budgets split across parts proportionally
-to edge counts.  The plain-sampling baseline for comparisons is the same
-construction at width 0 over the whole graph, without preprocessing.
+to edge counts.  :func:`estimate_pipeline` assembles every result: width
+``None`` is the exact construction, and width 0 deletes each part's root
+before layer 1, so its one stratum draws every edge.  The plain-sampling
+baseline, :func:`plain_sample_estimate`, is width 0 over the whole graph,
+without preprocessing.
 """
 
 from __future__ import annotations
@@ -121,8 +124,6 @@ def estimate_pipeline(
     The most recent decomposition is reused when only the seed, the
     estimator or the budgets change.  Options are checked once, up front.
     """
-    if w is not None and w < 1:
-        raise ValueError("width must be >= 1")  # width 0 is the plain baseline
     config = BuildConfig(
         width=w, samples=s, estimator=estimator, seed=seed,
         precision=precision, width_cap=width_cap,
@@ -153,9 +154,11 @@ def estimate_pipeline(
     all_exact = True
     samples_used = 0
     s_reduced = 0
-    # product variance: Var(prod) = prod(v_i + r_i^2) - prod(r_i^2), scaled
-    # by the squared (deterministic) bridge factor
-    var_acc = 1.0
+    # product variance, one part at a time: for independent X and a part
+    # with estimate r and variance v, Var(X r) = Var(X)(v + r^2) + v E[X]^2.
+    # Every term is nonnegative, so nothing cancels; the bridge factor is
+    # deterministic and scales the result by its square
+    var_acc = 0.0
     sq_acc = 1.0
     for rep in parts:
         estimate *= rep.estimate
@@ -164,9 +167,10 @@ def estimate_pipeline(
         all_exact = all_exact and rep.exact
         samples_used += rep.samples_used
         s_reduced += rep.s_reduced
-        var_acc *= rep.variance + rep.estimate * rep.estimate
-        sq_acc *= rep.estimate * rep.estimate
-    variance = max(0.0, pb * pb * (var_acc - sq_acc))
+        r2 = rep.estimate * rep.estimate
+        var_acc = var_acc * (rep.variance + r2) + rep.variance * sq_acc
+        sq_acc *= r2
+    variance = pb * pb * var_acc
     s_reduced = min(s, s_reduced) if parts else 0
 
     result = PipelineResult(
@@ -221,7 +225,7 @@ def exact_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# Plain-sampling baselines (no bounds, no preprocessing)
+# Plain-sampling baseline (width 0, no preprocessing)
 # ---------------------------------------------------------------------------
 
 def plain_sample_estimate(
@@ -234,34 +238,15 @@ def plain_sample_estimate(
 ) -> PipelineResult:
     """Independent draws over the whole realization space.
 
-    This is :func:`construct` at width 0: the diagram's root is deleted
-    before layer 1, so one stratum of mass 1 with bounds of 0 draws every
-    edge.  Like any construction, it needs every edge reachable from the
-    smallest terminal, and a repeated call reuses the build.
+    This is :func:`estimate_pipeline` at width 0 without preprocessing: the
+    diagram's root is deleted before layer 1, so one stratum of mass 1 with
+    bounds of 0 draws every edge.  Like any construction, it needs every
+    edge reachable from the smallest terminal, and a repeated call reuses
+    the build.
     """
     if s < 1:
         raise ValueError("sample count must be >= 1")
-    t0 = time.perf_counter()
-    rep = construct(
-        g, terminals,
-        BuildConfig(width=0, samples=s, estimator=estimator, seed=seed),
-    )
-    return PipelineResult(
-        estimate=rep.estimate,
-        bridge_factor=1.0,
-        p_c=rep.bounds.p_c,
-        p_d=rep.bounds.p_d,
-        s=s,
-        s_reduced=rep.s_reduced,
-        samples_used=rep.samples_used,
-        variance=rep.variance,
-        estimator=estimator,
-        exact=rep.exact,
-        preprocessed=False,
-        timings={
-            "preprocess": 0.0,
-            "construct": rep.timings["construct"],
-            "sample": rep.timings["sample"],
-            "total": time.perf_counter() - t0,
-        },
+    return estimate_pipeline(
+        g, terminals, s=s, w=0, estimator=estimator, seed=seed,
+        use_preprocess=False,
     )

@@ -75,6 +75,10 @@ class TestEstimate:
         assert rep["samples_used"] == 400
         assert rep["p_c"] == 0.0 and rep["p_d"] == 0.0
         assert rep["preprocessed"] is False
+        # the pipeline at width 0: one part, whose root is deleted at once
+        [part] = rep["parts"]
+        assert part["layers"] == 0 and part["max_width"] == 1
+        assert part["samples_used"] == 400
 
     def test_trace_file(self, grid_file, tmp_path):
         trace = tmp_path / "trace.csv"

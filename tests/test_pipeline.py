@@ -48,6 +48,21 @@ class TestSplitBudget:
         assert split_budget(50, []) == []
 
 
+def _karate():
+    return load_graph(DATA_DIR / "karate.edges"), TerminalSet.of([6, 7, 9, 18, 27])
+
+
+def _two_grids():
+    """Two 6x6 grids joined by the bridge (35, 36) at p = 0.9."""
+    a, b = grid_graph(6, 6, seed=0), grid_graph(6, 6, seed=1)
+    g = UncertainGraph(
+        n=72,
+        edges=a.edges + tuple((u + 36, v + 36) for u, v in b.edges) + ((35, 36),),
+        probs=a.probs + b.probs + (0.9,),
+    )
+    return g, TerminalSet.of([0, 71])
+
+
 class TestEstimatePipeline:
     def test_exact_on_decomposable_graph(self):
         g = random_connected_graph(6, 8, seed=4)
@@ -84,7 +99,7 @@ class TestEstimatePipeline:
 
     @NO_PART_LEFT
     @pytest.mark.parametrize("option", [
-        {"s": -5}, {"w": 0}, {"estimator": "bogus"}, {"precision": "fuzzy"},
+        {"s": -5}, {"w": -1}, {"estimator": "bogus"}, {"precision": "fuzzy"},
         {"width_cap": 0},
     ], ids=["s", "w", "estimator", "precision", "width_cap"])
     def test_options_are_checked_when_no_part_is_left(self, text, option):
@@ -93,6 +108,29 @@ class TestEstimatePipeline:
         assert preprocess(g, t).parts == ()
         with pytest.raises(ValueError):
             estimate_pipeline(g, t, **{"s": 10, "w": 4, **option})
+
+    @pytest.mark.parametrize("case, kwargs, n_parts", [
+        (_karate, {"s": 10000, "w": 100, "estimator": "ht"}, 1),
+        (_two_grids, {"s": 2000, "w": 4}, 2),
+    ], ids=["karate-one-part", "two-grids"])
+    def test_variance_of_the_part_product(self, case, kwargs, n_parts):
+        # independent parts: Var(pb * prod X_i) = pb^2 (prod(v_i + r_i^2)
+        # - prod(r_i^2)), here in exact arithmetic on the parts' floats
+        g, t = case()
+        res = estimate_pipeline(g, t, seed=0, **kwargs)
+        assert len(res.parts) == n_parts
+        assert not any(p.exact for p in res.parts)
+        moments = squares = Fraction(1)
+        for p in res.parts:
+            r2 = Fraction(p.estimate) ** 2
+            moments *= Fraction(p.variance) + r2
+            squares *= r2
+        ref = Fraction(res.bridge_factor) ** 2 * (moments - squares)
+        assert res.variance == pytest.approx(float(ref), rel=1e-12)
+        if n_parts == 1:
+            # one part with a bridge factor of 1 reports its part's variance
+            assert res.bridge_factor == 1.0
+            assert res.variance == res.parts[0].variance
 
     def test_samples_within_request(self):
         for seed in range(8):
@@ -362,6 +400,14 @@ class TestPlainSampling:
         assert res.samples_used == s
         count = res.estimate * s
         assert count == pytest.approx(round(count), abs=1e-9)
+
+    @pytest.mark.parametrize("estimator", ["mc", "ht"])
+    def test_is_the_pipeline_at_width_zero(self, estimator):
+        g, t = small_case(6, max_edges=12)
+        kw = {"s": 300, "estimator": estimator, "seed": 3}
+        assert (plain_sample_estimate(g, t, **kw).to_dict()
+                == estimate_pipeline(g, t, w=0, use_preprocess=False,
+                                     **kw).to_dict())
 
     @pytest.mark.parametrize("option", [{"s": 0}, {"estimator": "xx"}],
                              ids=["s", "estimator"])
