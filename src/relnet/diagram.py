@@ -1,20 +1,21 @@
 """Width-bounded frontier diagram: bounds computation plus sampling scheduler.
 
 Edges are decided one per layer.  A node summarizes every realization prefix
-that is still undecided, keeping only per-frontier attributes: connected
-component ids and per-component terminal counts.  Prefixes proven connected
-or disconnected leave the diagram immediately and feed two running masses,
+that is still undecided by its state ``(comp, t)``: frontier component ids
+and per-component terminal flags.  Prefixes proven connected or
+disconnected leave the diagram immediately and feed two running masses,
 the lower bound ``p_c`` and the complement of the upper bound ``p_d``.  Only
 one layer is resident at a time: expanding a node releases it.
 
-A node's two transitions depend only on its ``(comp, t)`` and on the step's
-signature (:func:`_signature`), the positions and terminal flags of the
-decided edge's endpoints and where each next-frontier vertex comes from.
-Along a regular order such as a grid strip's, one signature comes back once
-a column, so a layer whose signature recurs keeps its transitions in a table
-keyed by ``(comp, t)``, and the next layer with that signature looks its
-nodes up there before computing any.  Each table lives from one occurrence
-of its signature to the next, and no table outlives the build.
+A node's two transitions depend only on its state and on the step's
+signature (:func:`_signature`): the positions and terminal flags of the
+decided edge's endpoints, where each next-frontier vertex comes from, and
+whether every terminal is reached.  Along a regular order such as a grid
+strip's, one signature comes back once a column, so a layer whose signature
+recurs keeps its transitions in a table keyed by the state, and the next
+layer with that signature looks its nodes up there before computing any.
+Each table lives from one occurrence of its signature to the next, and no
+table outlives the build.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
@@ -171,14 +172,14 @@ class Node:
     """Frontier summary of a set of undecided realization prefixes.
 
     ``comp[i]`` is the component id of the i-th frontier vertex, ids
-    canonical by first occurrence along the frontier.  ``t[c]`` counts the
-    terminals connected into component c.
+    canonical by first occurrence along the frontier.  ``t[c]`` is True
+    when component c holds a terminal.
     """
 
     __slots__ = ("p", "comp", "t")
 
     def __init__(
-        self, p: Probability, comp: tuple[int, ...], t: tuple[int, ...]
+        self, p: Probability, comp: tuple[int, ...], t: tuple[bool, ...]
     ) -> None:
         self.p = p
         self.comp = comp
@@ -195,10 +196,11 @@ ZERO_SINK = "zero"
 def _signature(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple:
     """All that :func:`_apply_both` reads of the step deciding ``layer``.
 
-    Returns (u_pos, v_pos, u_tinit, v_tinit, next_src): the positions of the
-    edge's endpoints in the old frontier (-1 if entering), the terminal
-    count of each endpoint's singleton component on entry, and per
-    new-frontier vertex its old position, or -2 (u) / -3 (v).  Two layers
+    Returns (u_pos, v_pos, u_tinit, v_tinit, next_src, closing): the
+    positions of the edge's endpoints in the old frontier (-1 if entering),
+    the terminal flag of each endpoint's singleton component on entry, per
+    new-frontier vertex its old position, or -2 (u) / -3 (v), and whether
+    every terminal has been reached once this layer is decided.  Two layers
     with equal signatures give every node the same transitions, whatever
     their edge or undecided edges.
     """
@@ -215,22 +217,22 @@ def _signature(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple:
     return (
         pos.get(u, -1),
         pos.get(v, -1),
-        1 if u in terminals.vertices else 0,
-        1 if v in terminals.vertices else 0,
+        u in terminals.vertices,
+        v in terminals.vertices,
         tuple(src),
+        not _unreached(eo, layer + 1, terminals),
     )
 
 
-def _finish(src, t, nc, merged_from, merged_to):
+def _finish(src, t, merged_from, merged_to):
     """Renumber surviving components over the new frontier.
 
     Returns ZERO_SINK when a terminal-bearing component has no member left,
-    else (comp ids, t, t-sign pattern), ids canonical by first occurrence.
+    else the child state (comp ids, flags), ids canonical by first occurrence.
     """
-    remap = [-1] * nc
+    remap = [-1] * len(t)
     cc: list[int] = []
-    ct: list[int] = []
-    sign: list[bool] = []
+    ct: list[bool] = []
     fresh = 0
     for c in src:
         if c == merged_from:
@@ -240,24 +242,24 @@ def _finish(src, t, nc, merged_from, merged_to):
             i = fresh
             fresh += 1
             remap[c] = i
-            tc = t[c]
-            ct.append(tc)
-            sign.append(tc > 0)
+            ct.append(t[c])
         cc.append(i)
-    for c in range(nc):
-        if t[c] > 0 and remap[c] < 0 and c != merged_from:
+    for c, tc in enumerate(t):
+        if tc and remap[c] < 0 and c != merged_from:
             return ZERO_SINK
-    return (tuple(cc), tuple(ct), tuple(sign))
+    return (tuple(cc), tuple(ct))
 
 
-def _apply_both(comp: tuple[int, ...], t: tuple[int, ...], sig: tuple, k: int):
+def _apply_both(comp: tuple[int, ...], t: tuple[bool, ...], sig: tuple):
     """Both transitions of a node ``(comp, t)`` across one edge decision.
 
     ``sig`` is the step's :func:`_signature`.  Returns (off, on) where each
-    entry is ONE_SINK, ZERO_SINK, or the child attribute tuple produced by
-    :func:`_finish`.  The shared bookkeeping (component entry) is done once.
+    entry is ONE_SINK, ZERO_SINK, or the child state produced by
+    :func:`_finish`.  Joining two flagged components is ONE_SINK once every
+    terminal is reached and no other component is flagged, since a reached
+    terminal stranded off the frontier was ZERO_SINK already.
     """
-    u_pos, v_pos, u_tinit, v_tinit, next_src = sig
+    u_pos, v_pos, u_tinit, v_tinit, next_src, closing = sig
     baset = list(t)
 
     if u_pos >= 0:
@@ -270,22 +272,19 @@ def _apply_both(comp: tuple[int, ...], t: tuple[int, ...], sig: tuple, k: int):
     else:
         cv = len(baset)
         baset.append(v_tinit)
-    nc = len(baset)
 
     src = [
         comp[s] if s >= 0 else (cu if s == -2 else cv)
         for s in next_src
     ]
-    off = _finish(src, baset, nc, -1, -1)
+    off = _finish(src, baset, -1, -1)
     if cu == cv:
         # a cycle-closing edge changes nothing structural either way
         return off, off
-    tcu = baset[cu] + baset[cv]
-    if tcu == k:
+    if closing and baset[cu] and baset[cv] and baset.count(True) == 2:
         return off, ONE_SINK
-    newt = list(baset)
-    newt[cu] = tcu
-    return off, _finish(src, newt, nc, cv, cu)
+    baset[cu] = baset[cu] or baset[cv]
+    return off, _finish(src, baset, cv, cu)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +349,13 @@ def _unreached(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple[int, 
 def _node_pass(
     frontier: Sequence[int],
     comp: Sequence[int],
-    t: Sequence[int],
+    t: Sequence[bool],
     unreached: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A node's union-find start over vertex ids, as (joins, targets).
 
     ``frontier`` is the layer's frontier and ``comp`` and ``t`` are the
-    node's component ids and terminal counts.  Each frontier vertex starts
+    node's component ids and terminal flags.  Each frontier vertex starts
     under the first frontier vertex of its component and every other vertex
     under itself, so every parent is a root: ``joins`` is (x1, r1, x2, r2,
     ...), the frontier vertices that are not first, each followed by its
@@ -370,7 +369,7 @@ def _node_pass(
         root = first.setdefault(c, x)
         if root != x:
             joins += (x, root)
-    targets = tuple([first[c] for c, tc in enumerate(t) if tc > 0])
+    targets = tuple([first[c] for c, tc in enumerate(t) if tc])
     return tuple(joins), targets + unreached
 
 
@@ -416,7 +415,7 @@ class Stratum:
     stream; ``draws`` is its share of the budget and ``mass`` its absolute
     probability mass.  The nodes are kept as columns, no :class:`Node`
     object: ``ps`` their float masses, ``cum`` the running sums of ``ps``,
-    ``comps`` and ``ts`` their component ids and terminal counts.
+    ``comps`` and ``ts`` their component ids and terminal flags.
 
     ``edges`` is the order's edge table, ``n`` the vertex count,
     ``frontier`` the layer's frontier, ``unreached`` the terminals the order
@@ -441,7 +440,7 @@ class Stratum:
         kind: str,
         ps: tuple[float, ...],
         comps: tuple[tuple[int, ...], ...],
-        ts: tuple[tuple[int, ...], ...],
+        ts: tuple[tuple[bool, ...], ...],
         mass: float,
         draws: int,
     ) -> None:
@@ -623,7 +622,6 @@ def expand_layer(
     nodes: list[Node],
     sig: tuple,
     pe: Probability,
-    k: int,
     p_c: KahanSum | FractionSum,
     p_d: KahanSum | FractionSum,
     table: Optional[dict] = None,
@@ -632,13 +630,13 @@ def expand_layer(
     """Decide one layer's edge for every node of the layer.
 
     Children that reach a sink add their mass to ``p_c`` or ``p_d``.  The
-    rest merge by component pattern and terminal signs: such children
-    transition to the same sinks under every continuation, so their masses
-    add without changing the bounds trajectory.  Returns the next layer, in
-    creation order, and its total mass.
+    rest merge by state ``(comp, t)``: such children transition to the same
+    sinks under every continuation, so their masses add without changing
+    the bounds trajectory.  Returns the next layer, in creation order, and
+    its total mass.
 
     ``sig`` is the layer's :func:`_signature`, and ``table`` maps a node's
-    ``(comp, t)`` to the (off, on) pair that :func:`_apply_both` gave it at
+    state to the (off, on) pair that :func:`_apply_both` gave it at
     an earlier layer with the same signature; a node found there is not
     recomputed.  ``record``, when given, receives this layer's pair for
     every node under the same key.  ``nodes`` is consumed: each parent is
@@ -657,7 +655,7 @@ def expand_layer(
         key = (nd.comp, nd.t)
         both = known(key)
         if both is None:
-            both = _apply_both(nd.comp, nd.t, sig, k)
+            both = _apply_both(nd.comp, nd.t, sig)
         if record is not None:
             record[key] = both
         off, on = both
@@ -668,11 +666,9 @@ def expand_layer(
             elif res is ZERO_SINK:
                 p_d.add(mass)
             else:
-                comp, t, sign = res
-                key = (comp, sign)
-                kept = nxt_get(key)
+                kept = nxt_get(res)
                 if kept is None:
-                    nxt[key] = Node(mass, comp, t)
+                    nxt[res] = Node(mass, *res)
                 else:
                     kept.p = kept.p + mass
                 resident_mass += mass
@@ -738,7 +734,6 @@ def _build(
     exact = precision == "exact"
     eo = order_edges(g, terminals)
     probs = g.prob_values(exact)
-    k = terminals.k
     s = samples
 
     mass_sum, one = (FractionSum, Fraction(1)) if exact else (KahanSum, 1.0)
@@ -772,7 +767,7 @@ def _build(
 
         The group gets its mass's share of the reduced budget, never past
         the request; a group with no draws leaves its mass unsampled.  Equal
-        terminal counts, which most nodes of a layer share, are kept once.
+        terminal flags, which most nodes of a layer share, are kept once.
         """
         nonlocal drawn
         draws = min(int(s_prime * mass), s - drawn)
@@ -817,7 +812,7 @@ def _build(
         recurrences[sig] -= 1
         record = {} if recurrences[sig] else None
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, sig, probs[eo.order[layer]], k, p_c, p_d,
+            layer_nodes, sig, probs[eo.order[layer]], p_c, p_d,
             tables.pop(sig, None), record,
         )
         if record is not None:

@@ -136,13 +136,12 @@ def _nodes(st):
 
 def _both(g, t, layer, node):
     """(off, on) results of the real transition at one layer."""
-    return _apply_both(node.comp, node.t, _signature(order_edges(g, t), layer, t), t.k)
+    return _apply_both(node.comp, node.t, _signature(order_edges(g, t), layer, t))
 
 
 def _child(res):
     """A node for a non-sink transition result (its mass is not tracked)."""
-    comp, tt, _ = res
-    return Node(1.0, comp, tt)
+    return Node(1.0, *res)
 
 
 def _expand(g, t, layer, nodes):
@@ -150,7 +149,7 @@ def _expand(g, t, layer, nodes):
     p_c, p_d = KahanSum(), KahanSum()
     eo = order_edges(g, t)
     pe = g.probs[eo.order[layer]]
-    nxt, _ = expand_layer(nodes, _signature(eo, layer, t), pe, t.k, p_c, p_d)
+    nxt, _ = expand_layer(nodes, _signature(eo, layer, t), pe, p_c, p_d)
     return nxt, p_c.value, p_d.value
 
 
@@ -187,8 +186,8 @@ class TestTransitions:
         g = parse_graph("0 1 0.5\n0 2 0.5\n1 2 0.5")
         t = TerminalSet.of([0, 1, 2])
         split, both_in = _both(g, t, 0, ROOT)
-        assert both_in[:2] == ((0, 0), (2,))
-        assert split[:2] == ((0, 1), (1, 1))
+        assert both_in == ((0, 0), (True,))
+        assert split == ((0, 1), (True, True))
 
     def test_not_connected_when_no_terminals_gathered(self):
         g = path_graph(3)
@@ -208,9 +207,15 @@ class TestTransitions:
 
     def test_sink_verdicts_sound_against_enumeration(self):
         # every sink produced anywhere in the prefix tree must agree with a
-        # brute-force check over all completions of that prefix
-        for seed in (0, 1, 2, 5):
-            g, t = small_case(seed, max_edges=8)
+        # brute-force check over all completions of that prefix, and ONE_SINK
+        # is complete: a child left in the diagram has some completion that
+        # does not connect.  ZERO_SINK is not complete (a stranded terminal
+        # component is seen only once it leaves the frontier), so a child may
+        # connect under no completion.
+        cases = [small_case(seed, max_edges=8) for seed in (0, 1, 2, 5)]
+        cases += [small_case(seed, max_edges=9) for seed in range(40)]
+        children = 0
+        for g, t in cases:
             eo = order_edges(g, t)
             stack = [(0, ROOT, [])]
             while stack:
@@ -224,7 +229,10 @@ class TestTransitions:
                     elif res is ZERO_SINK:
                         assert none_conn
                     else:
+                        assert not all_conn
+                        children += 1
                         stack.append((layer + 1, _child(res), states))
+        assert children > 1000
 
 
 def _completion_mask(eo, decided, rest_mask):
@@ -264,28 +272,28 @@ class TestMerge:
         return _expand(parse_graph(self.GRID), TerminalSet.of(self.TERMS), 2, list(nodes))
 
     def test_equal_sign_patterns_merge(self):
-        a = Node(0.25, (0, 1), (2, 0))
-        b = Node(0.5, (0, 1), (1, 0))
+        a = Node(0.25, (0, 1), (True, False))
+        b = Node(0.5, (0, 1), (True, False))
         nxt, p_c, p_d = self._layer(a, b)
         assert p_c == p_d == 0.0
         assert [nd.comp for nd in nxt] == [(0, 1, 2), (0, 0, 1)]
         assert [nd.p for nd in nxt] == pytest.approx([0.375, 0.375])
-        assert [nd.t for nd in nxt] == [(2, 0, 0), (2, 0)]  # first child's t kept
+        assert [nd.t for nd in nxt] == [(True, False, False), (True, False)]
 
     def test_different_sign_patterns_stay_apart(self):
-        a = Node(0.25, (0, 1), (1, 0))
-        b = Node(0.5, (0, 1), (0, 1))
+        a = Node(0.25, (0, 1), (True, False))
+        b = Node(0.5, (0, 1), (False, True))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
     def test_different_component_patterns_stay_apart(self):
-        a = Node(0.25, (0, 0), (1,))
-        b = Node(0.5, (0, 1), (1, 1))
+        a = Node(0.25, (0, 0), (True,))
+        b = Node(0.5, (0, 1), (True, True))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
     def test_layer_is_transitions_grouped_by_pattern(self):
-        # expand_layer keeps exactly one node per (comp, sign) pattern of the
+        # expand_layer keeps exactly one node per (comp, t) state of the
         # transitions' children, carrying their summed mass
         for seed in range(15):
             g, t = small_case(seed, max_edges=10)
@@ -298,10 +306,9 @@ class TestMerge:
                     for res, mass in zip(_both(g, t, layer, nd),
                                          (nd.p * (1 - pe), nd.p * pe)):
                         if res is not ONE_SINK and res is not ZERO_SINK:
-                            key = (res[0], res[2])
-                            expected[key] = expected.get(key, 0.0) + mass
+                            expected[res] = expected.get(res, 0.0) + mass
                 nodes, _, _ = _expand(g, t, layer, nodes)
-                got = {(nd.comp, tuple(x > 0 for x in nd.t)): nd.p for nd in nodes}
+                got = {(nd.comp, nd.t): nd.p for nd in nodes}
                 assert got.keys() == expected.keys()
                 for key, mass in expected.items():
                     assert got[key] == pytest.approx(mass, abs=1e-15)
@@ -324,7 +331,7 @@ class TestTransitionTables:
             p_c, p_d = KahanSum(), KahanSum()
             fresh = [Node(nd.p, nd.comp, nd.t) for nd in nodes]
             nxt, mass = expand_layer(
-                fresh, sig, g.probs[eo.order[layer]], t.k, p_c, p_d, table, record
+                fresh, sig, g.probs[eo.order[layer]], p_c, p_d, table, record
             )
             assert not fresh  # every parent is released
             return ([(nd.p.hex(), nd.comp, nd.t) for nd in nxt], mass.hex(),
@@ -375,18 +382,18 @@ class TestTransitionTables:
 
 class TestSplitLayer:
     def test_keeps_the_heaviest(self):
-        nodes = [Node(p, (0,), (1,)) for p in (0.1, 0.5, 0.3)]
+        nodes = [Node(p, (0,), (True,)) for p in (0.1, 0.5, 0.3)]
         survivors, deleted = split_layer(nodes, 2)
         assert [nd.p for nd in survivors] == [0.5, 0.3]
         assert [nd.p for nd in deleted] == [0.1]
 
     def test_ties_keep_input_order(self):
-        nodes = [Node(0.5, (0,), (1,)) for _ in range(4)]
+        nodes = [Node(0.5, (0,), (True,)) for _ in range(4)]
         survivors, deleted = split_layer(nodes, 2)
         assert survivors == nodes[:2] and deleted == nodes[2:]
 
     def test_noop_when_under_width(self):
-        nodes = [Node(0.5, (0,), (1,))]
+        nodes = [Node(0.5, (0,), (True,))]
         survivors, deleted = split_layer(nodes, 5)
         assert survivors == nodes and deleted == []
 

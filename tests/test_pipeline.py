@@ -321,6 +321,24 @@ class TestExactPipeline:
                 brute_force_reliability(g, t).reliability, abs=1e-9
             )
 
+    @pytest.mark.parametrize("case", ["grid6x6", "grid5x8", "random16"])
+    def test_exact_agrees_with_the_whole_graph_build(self, case):
+        # past brute force: preprocessing changes these graphs, so the two
+        # Fractions come from different builds
+        if case == "random16":
+            g = random_connected_graph(16, 30, seed=3)
+            t = random_terminals(g, 4, seed=3)
+        else:
+            rows, cols, seed, terms = {
+                "grid6x6": (6, 6, 1, [0, 20, 35]),
+                "grid5x8": (5, 8, 2, [0, 17, 39]),
+            }[case]
+            g, t = grid_graph(rows, cols, seed=seed), TerminalSet.of(terms)
+        assert preprocess(g, t).parts != ((g, t),)
+        assert exact_pipeline(g, t, precision="exact") == exact_reliability(
+            g, t, precision="exact"
+        )
+
     @NO_PART_LEFT
     @pytest.mark.parametrize("option", [{"precision": "fuzzy"}, {"width_cap": 0}],
                              ids=["precision", "width_cap"])
