@@ -11,11 +11,12 @@ A node's two transitions depend only on its state and on the step's
 signature (:func:`_signature`): the positions and terminal flags of the
 decided edge's endpoints, where each next-frontier vertex comes from, and
 whether every terminal is reached.  Along a regular order such as a grid
-strip's, one signature comes back once a column, so a layer whose signature
-recurs keeps its transitions in a table keyed by the state, and the next
-layer with that signature looks its nodes up there before computing any.
-Each table lives from one occurrence of its signature to the next, and no
-table outlives the build.
+strip's, one signature comes back once a column, so the layers of a
+recurring signature share one table of transitions keyed by the state, and
+each looks its nodes up there before computing any.  A table lives from its
+signature's first occurrence to its last, which reads it and adds nothing,
+so each transition is computed once per signature and no table outlives the
+build.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
@@ -636,15 +637,16 @@ def expand_layer(
     its total mass.
 
     ``sig`` is the layer's :func:`_signature`, and ``table`` maps a node's
-    state to the (off, on) pair that :func:`_apply_both` gave it at
-    an earlier layer with the same signature; a node found there is not
-    recomputed.  ``record``, when given, receives this layer's pair for
-    every node under the same key.  ``nodes`` is consumed: each parent is
-    released as soon as it is expanded, so the two layers are never both
-    resident in full.
+    state to the (off, on) pair that :func:`_apply_both` gave it at a layer
+    with the same signature; a node found there is not recomputed.
+    ``record``, when given, receives the pair of every node not found there,
+    under the same key.  ``nodes`` is consumed: each parent is released as
+    soon as it is expanded, so the two layers are never both resident in
+    full.
     """
     pe_off = 1 - pe
     known = {}.get if table is None else table.get
+    add_c, add_d = p_c.add, p_d.add
     nxt: dict[tuple, Node] = {}
     nxt_get = nxt.get
     resident_mass = 0.0
@@ -652,26 +654,38 @@ def expand_layer(
     pop = nodes.pop
     while nodes:
         nd = pop()
-        key = (nd.comp, nd.t)
+        comp, t = key = nd.comp, nd.t
         both = known(key)
         if both is None:
-            both = _apply_both(nd.comp, nd.t, sig)
-        if record is not None:
-            record[key] = both
+            both = _apply_both(comp, t, sig)
+            if record is not None:
+                record[key] = both
         off, on = both
         np_ = nd.p
-        for res, mass in ((off, np_ * pe_off), (on, np_ * pe)):
-            if res is ONE_SINK:
-                p_c.add(mass)
-            elif res is ZERO_SINK:
-                p_d.add(mass)
+        # the off child first, as the sums' bits depend on the order of their
+        # adds; leaving an edge out connects nothing, so off is never ONE_SINK
+        mass = np_ * pe_off
+        if off is ZERO_SINK:
+            add_d(mass)
+        else:
+            kept = nxt_get(off)
+            if kept is None:
+                nxt[off] = Node(mass, *off)
             else:
-                kept = nxt_get(res)
-                if kept is None:
-                    nxt[res] = Node(mass, *res)
-                else:
-                    kept.p = kept.p + mass
-                resident_mass += mass
+                kept.p = kept.p + mass
+            resident_mass += mass
+        mass = np_ * pe
+        if on is ONE_SINK:
+            add_c(mass)
+        elif on is ZERO_SINK:
+            add_d(mass)
+        else:
+            kept = nxt_get(on)
+            if kept is None:
+                nxt[on] = Node(mass, *on)
+            else:
+                kept.p = kept.p + mass
+            resident_mass += mass
     return list(nxt.values()), resident_mass
 
 
@@ -715,11 +729,12 @@ def _build(
     neither the seed nor the estimator changes what is built, and a build is
     reused across seeds.
 
-    Layers whose steps share a signature share transitions: a layer whose
-    signature comes back later records its nodes' transitions in a table,
-    which the next layer with that signature reads and then drops.  So at
-    most one table per recurring signature is alive, and none outlives the
-    build.
+    Layers whose steps share a signature share transitions: the layers of a
+    recurring signature read and extend one table, made at its first
+    occurrence.  The last occurrence only reads it and drops it, and a
+    signature that never recurs gets no table, since a table written there
+    would only raise the build's peak memory.  So each state's transitions
+    are computed once per signature, and no table outlives the build.
 
     Once some layer has been split, the build stops after the first layer
     whose resident nodes either meet the budget when sampled or hold less
@@ -810,13 +825,13 @@ def _build(
     tables: dict[tuple, dict] = {}
     for layer, sig in enumerate(sigs):
         recurrences[sig] -= 1
-        record = {} if recurrences[sig] else None
+        if recurrences[sig]:
+            table = record = tables.setdefault(sig, {})
+        else:
+            table, record = tables.pop(sig, None), None
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, sig, probs[eo.order[layer]], p_c, p_d,
-            tables.pop(sig, None), record,
+            layer_nodes, sig, probs[eo.order[layer]], p_c, p_d, table, record,
         )
-        if record is not None:
-            tables[sig] = record
         layers_done = layer + 1
         if width_cap is not None and len(layer_nodes) > width_cap:
             raise WidthCapExceeded(

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -367,7 +368,60 @@ class TestTransitionTables:
         _build(g, t, 100, 10000, "double", None)
         _build.cache_clear()
         assert counts["expanded"] > 10000
-        assert counts["computed"] <= 0.6 * counts["expanded"]
+        assert counts["computed"] <= 0.3 * counts["expanded"]
+
+    @pytest.mark.parametrize("width", [100, 1000])
+    def test_each_state_computed_once_per_signature(self, monkeypatch, width):
+        # one table serves every layer of a signature, so a state seen at one
+        # of them is never computed again at a later one
+        g, t = self.STRIP
+        calls = Counter()
+        real_apply = diagram._apply_both
+
+        def apply_both(comp, tt, sig):
+            calls[sig, comp, tt] += 1
+            return real_apply(comp, tt, sig)
+
+        monkeypatch.setattr(diagram, "_apply_both", apply_both)
+        _build.cache_clear()
+        _build(g, t, width, 10000, "double", None)
+        _build.cache_clear()
+        assert len(calls) > 4000
+        assert max(calls.values()) == 1
+
+    def test_only_recurring_occurrences_write(self, monkeypatch, karate_graph):
+        # a signature's last occurrence reads its table and writes nothing,
+        # and a signature that never recurs gets no table: a table written
+        # there would only grow a build's peak memory
+        cases = [
+            (*self.STRIP, None),  # unbounded: every layer is expanded
+            (karate_graph, random_terminals(karate_graph, 5, seed=7), 100),
+        ]
+        real_expand = diagram.expand_layer
+        for g, t, width in cases:
+            seen = []
+
+            def expand(nodes, sig, pe, p_c, p_d, table, record):
+                seen.append((sig, table, record))
+                return real_expand(nodes, sig, pe, p_c, p_d, table, record)
+
+            monkeypatch.setattr(diagram, "expand_layer", expand)
+            _build.cache_clear()
+            _build(g, t, width, 10000, "double", None)
+            _build.cache_clear()
+            eo = order_edges(g, t)
+            sigs = [_signature(eo, layer, t) for layer in range(g.m)]
+            last = {sig: layer for layer, sig in enumerate(sigs)}
+            assert [sig for sig, _, _ in seen] == sigs[:len(seen)]
+            assert width is not None or len(seen) == g.m
+            tables = {}
+            for layer, (sig, table, record) in enumerate(seen):
+                if layer == last[sig]:
+                    assert record is None
+                    assert table is tables.get(sig)
+                else:
+                    assert record is not None and record is table
+                    assert tables.setdefault(sig, table) is table
 
     def test_no_table_outlives_the_build(self):
         g, t = self.STRIP
