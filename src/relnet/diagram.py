@@ -25,10 +25,16 @@ Each draw completes one node with a union-find over vertex ids that starts
 with the node's components joined; an edge inside a component joins nothing.
 An MC draw stops at the first checkpoint where its outcome is decided and
 passes its random stream over the edges it leaves, so it draws what a full
-pass would.  Once a layer has been split, the build stops as soon as the
-nodes still resident hold less mass than one requested draw stands for, and
-their mass is left unsampled.  The final estimate combines the bounds with
-the per-stratum draws.
+pass would.  A stratum with at least as many MC draws as suffix edges
+draws them as bit-sliced lanes: it reads the same stream words in bulk,
+builds each edge's mask of lanes from their top bytes, and decides every
+lane's full pass by reachability over those masks and its node's joins.
+An early-stopped draw reaches the full pass's verdict and skips the words
+the full pass reads, so the lanes' successes and end state are the loop's.
+Once a layer has been split, the build stops as soon as the nodes still
+resident hold less mass than one requested draw stands for, and their mass
+is left unsampled.  The final estimate combines the bounds with the
+per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, per-layer budgets and one flat record per scheduled
@@ -46,6 +52,7 @@ and calls that alternate between the diagram and the baseline rebuild both.
 
 from __future__ import annotations
 
+import random
 import time
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
@@ -53,6 +60,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import ceil
+from struct import Struct
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -489,6 +498,14 @@ def sample_group_stratum(
     leaves with one ``getrandbits(64 * rest)``, which reads the same 32-bit
     words as ``rest`` calls of ``random()``.
 
+    So every MC draw reads the words of 1 + L ``random()`` calls, L the
+    suffix length, and reaches the full pass's verdict.  An MC stratum with
+    at least L draws therefore draws them as bit-sliced lanes instead
+    (:func:`_draw_lanes`): it reads the same words in bulk and decides the
+    full pass of each, so its successes and its stream's end state are
+    those of the draw-by-draw loop (:func:`_draw_scalar`).  A stratum with
+    fewer draws keeps the loop, whose early stops pay off on long suffixes.
+
     The stratum draws from its own stream, named by its layer and kind: a
     layer has at most one ``"deleted"`` and one ``"resident"`` stratum.  An
     HT draw takes every suffix edge and finds its roots once, after that
@@ -499,6 +516,37 @@ def sample_group_stratum(
     """
     st = stratum
     rng = rngmod.stream(seed, "layer", st.layer, st.kind)
+    if not want_outcomes and st.draws >= len(st.edges) - st.layer:
+        successes, outcomes = _draw_lanes(st, rng), None
+    else:
+        successes, outcomes = _draw_scalar(st, rng, want_outcomes)
+    return StratumDraw(
+        mass=st.mass, draws=st.draws, successes=successes, outcomes=outcomes
+    )
+
+
+def _start(st: Stratum, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Node i's (joins, targets), made on its first pick and kept in the record."""
+    if st.starts is None:
+        st.starts = ([None] * len(st.cum), [None] * len(st.cum), {})
+    joins_of, targets_of, shared = st.starts
+    joins = joins_of[i]
+    if joins is None:
+        joins, targets = _node_pass(st.frontier, st.comps[i], st.ts[i], st.unreached)
+        joins_of[i] = joins
+        targets_of[i] = targets = shared.setdefault(targets, targets)
+        return joins, targets
+    return joins, targets_of[i]
+
+
+def _draw_scalar(
+    st: Stratum, rng: random.Random, want_outcomes: bool
+) -> tuple[int, Optional[list]]:
+    """Draw the stratum one draw at a time; returns (successes, outcomes).
+
+    See :func:`sample_group_stratum`; ``outcomes`` is None unless
+    ``want_outcomes``.
+    """
     rnd = rng.random
     skip = rng.getrandbits
     cum = st.cum
@@ -507,24 +555,13 @@ def sample_group_stratum(
     edges = st.edges
     segments = [(edges[lo:hi], live, rest) for lo, hi, (live, rest) in st.plan]
     base = list(range(st.n))
-    if st.starts is None:
-        st.starts = ([None] * len(cum), [None] * len(cum), {})
-    joins_of, targets_of, shared = st.starts
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
     for _ in range(st.draws):
         i = bisect_right(cum, rnd() * total)
         if i > last:
             i = last
-        joins = joins_of[i]
-        if joins is None:
-            joins, targets = _node_pass(
-                st.frontier, st.comps[i], st.ts[i], st.unreached
-            )
-            joins_of[i] = joins
-            targets_of[i] = targets = shared.setdefault(targets, targets)
-        else:
-            targets = targets_of[i]
+        joins, targets = _start(st, i)
         parent = base[:]
         if joins:
             it = iter(joins)
@@ -586,9 +623,118 @@ def sample_group_stratum(
             successes += 1
         if want_outcomes:
             outcomes.append(((i, mask), (st.ps[i] / total) * q, ok))
-    return StratumDraw(
-        mass=st.mass, draws=st.draws, successes=successes, outcomes=outcomes
-    )
+    return successes, outcomes
+
+
+_LANE_BYTES = 1 << 18  # stream bytes that one chunk of lanes reads, at most
+_LOW45 = (1 << 45) - 1
+_TWO_TO_53 = float(1 << 53)
+_INV_TWO_TO_53 = 1.0 / _TWO_TO_53
+# _BELOW[c] translates a byte to b"1" when it is below c, else to b"0"
+_BELOW = tuple(b"1" * c + b"0" * (256 - c) for c in range(256))
+
+
+def _draw_lanes(st: Stratum, rng: random.Random) -> int:
+    """Draw the stratum's MC draws as bit-sliced lanes; returns the successes.
+
+    Draws go in chunks of W lanes, W sized so that a chunk reads at most
+    ``_LANE_BYTES`` of stream.  A chunk reads, in one ``getrandbits``, the
+    words that W draws of :func:`_draw_scalar` read: per draw, two for the
+    node pick and two per suffix edge.  ``random()`` turns a word pair
+    (w0, w1) into k / 2**53, k = (w0 >> 5) * 2**26 + (w1 >> 6), and
+    ``random() < p`` holds iff k < ceil(p * 2**53), the edge's cut.
+
+    An edge's W-bit lane mask compares each lane's top byte of w0, which is
+    k's top byte, with the cut's; the lanes where the two tie, about one in
+    256, are decided from k itself.  The picks decode as ``random()`` does
+    and bisect ``st.cum``.  Connectivity is then reachability: each vertex
+    holds the mask of lanes in which it is joined to the lane's first
+    target, seeded there and relaxed over the edges and the picked nodes'
+    joins, grouped per distinct join, until nothing changes.  A lane
+    succeeds when every one of its targets is reached: the verdict of the
+    full pass, which an early-stopped scalar draw reaches too.
+    """
+    stride = 8 * (len(st.edges) - st.layer + 1)  # stream bytes per draw
+    width = max(1, _LANE_BYTES // stride)
+    edges = []
+    for e, (a, b, p, _) in enumerate(st.edges[st.layer:]):
+        cut = ceil(p * _TWO_TO_53)
+        if cut > 0:
+            # the offset of the top byte of the edge's w0 in a draw's block
+            edges.append((a, b, cut, stride - 12 - 8 * e))
+    cum = st.cum
+    total = cum[-1]
+    last = len(cum) - 1
+    successes = 0
+    left = st.draws
+    while left:
+        w = min(width, left)
+        left -= w
+        # big-endian, the chunk's words run backward: block j of ``stride``
+        # bytes is draw w - 1 - j, its word i at stride - 4 - 4 * i, so a
+        # mask read from one byte per block has draw d at bit d
+        buf = rng.getrandbits(8 * stride * w).to_bytes(stride * w, "big")
+        full = (1 << w) - 1
+
+        if last:
+            node_lanes: dict[int, int] = {}
+            picks = Struct(">" + f"{stride - 8}xQ" * w).unpack(buf)
+            for j, v in enumerate(picks):
+                u = ((v & 0xFFFFFFFF) >> 5 << 26 | v >> 38) * _INV_TWO_TO_53
+                i = bisect_right(cum, u * total)
+                if i > last:
+                    i = last
+                node_lanes[i] = node_lanes.get(i, 0) | 1 << (w - 1 - j)
+        else:
+            node_lanes = {0: full}
+
+        joined: dict[tuple[int, int], int] = {}
+        by_targets: dict[tuple[int, ...], int] = {}
+        for i, lanes in node_lanes.items():
+            joins, targets = _start(st, i)
+            it = iter(joins)
+            for pair in zip(it, it):
+                joined[pair] = joined.get(pair, 0) | lanes
+            by_targets[targets] = by_targets.get(targets, 0) | lanes
+        links = [(x, root, lanes) for (x, root), lanes in joined.items()]
+
+        for a, b, cut, off in edges:
+            if cut >> 53:
+                links.append((a, b, full))
+                continue
+            top = buf[off::stride]
+            lanes = int(top.translate(_BELOW[cut >> 45]), 2)
+            if cut & _LOW45:
+                tie = cut >> 45
+                j = top.find(tie)
+                while j >= 0:
+                    q = j * stride + off
+                    v = int.from_bytes(buf[q - 4:q + 4], "big")
+                    if ((v & 0xFFFFFFFF) >> 5 << 26 | v >> 38) < cut:
+                        lanes |= 1 << (w - 1 - j)
+                    j = top.find(tie, j + 1)
+            if lanes:
+                links.append((a, b, lanes))
+        del buf  # so that no two chunks' words are alive at once
+
+        reach = [0] * st.n
+        for targets, lanes in by_targets.items():
+            reach[targets[0]] |= lanes
+        changed = True
+        while changed:
+            changed = False
+            for a, b, lanes in links:
+                new = (reach[a] ^ reach[b]) & lanes
+                if new:
+                    reach[a] |= new
+                    reach[b] |= new
+                    changed = True
+            links.reverse()
+        for targets, lanes in by_targets.items():
+            for x in targets:
+                lanes &= reach[x]
+            successes += lanes.bit_count()
+    return successes
 
 
 # ---------------------------------------------------------------------------

@@ -628,14 +628,22 @@ class TestSamplerMatchesQuotientSampling:
     """
 
     @staticmethod
-    def _check(g, t, eo, st, seed):
-        """Returns the hit nodes with an internal suffix edge."""
+    def _check(g, t, eo, st, seed, scalar=False):
+        """Returns the hit nodes with an internal suffix edge.
+
+        With ``scalar``, the MC draws go through the draw-by-draw loop
+        whatever the stratum's size.
+        """
         successes, outcomes, chorded = _reference_stratum(
             g, eo, st.layer, t, _nodes(st), st.draws, seed, st.kind
         )
-        mc = sample_group_stratum(st, seed=seed)
+        if scalar:
+            stream = rngmod.stream(seed, "layer", st.layer, st.kind)
+            mc, _ = diagram._draw_scalar(st, stream, False)
+        else:
+            mc = sample_group_stratum(st, seed=seed).successes
         ht = sample_group_stratum(st, seed=seed, want_outcomes=True)
-        assert mc.successes == ht.successes == successes
+        assert mc == ht.successes == successes
         assert ht.outcomes == outcomes
         return chorded
 
@@ -674,7 +682,9 @@ class TestSamplerMatchesQuotientSampling:
         """Per stratum: the MC stream ends where the reference's does.
 
         Returns the reference's and the MC sampler's ``random()`` calls,
-        summed over the build's strata and its root.
+        summed over the build's strata and its root.  The MC draws take the
+        draw-by-draw loop on every stratum: the lanes make no ``random()``
+        call, so their count would bound nothing.
         """
         streams = []
 
@@ -689,7 +699,7 @@ class TestSamplerMatchesQuotientSampling:
         calls = [0, 0]
         for st in (*build.strata, root):
             streams.clear()
-            self._check(g, t, eo, st, seed)
+            self._check(g, t, eo, st, seed, scalar=True)
             ref, mc, ht = streams
             assert mc.getstate() == ref.getstate() == ht.getstate()
             assert mc.calls <= ref.calls == ht.calls
@@ -744,6 +754,196 @@ def test_stream_skip_matches_random_calls(n):
     for _ in range(n):
         drawn.random()
     assert skipped.getstate() == drawn.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 311, 312, 313, 624, 625, 1000, 2500])
+def test_stream_words_rebuild_random_values(n):
+    # the lanes read getrandbits(64 * n) as n word pairs, first word least
+    # significant, and rebuild from each pair the 53-bit value of one random()
+    data = random.Random(n).getrandbits(64 * n).to_bytes(8 * n, "little")
+    drawn = random.Random(n)
+    for i in range(n):
+        w0 = int.from_bytes(data[8 * i:8 * i + 4], "little")
+        w1 = int.from_bytes(data[8 * i + 4:8 * i + 8], "little")
+        assert (w0 >> 5) * 2**26 + (w1 >> 6) == drawn.random() * 2**53
+
+
+def _draw_both(st, seed):
+    """Successes of the draw-by-draw loop and of the lanes, from equal streams.
+
+    Also checks that the two streams end in one state.
+    """
+    loop = rngmod.stream(seed, "layer", st.layer, st.kind)
+    lanes = rngmod.stream(seed, "layer", st.layer, st.kind)
+    successes, _ = diagram._draw_scalar(st, loop, False)
+    assert diagram._draw_lanes(st, lanes) == successes
+    assert lanes.getstate() == loop.getstate()
+    return successes
+
+
+def _draw_corpus(strata):
+    """Draws every stratum both ways with three seeds; returns what it met.
+
+    Counts the strata, those with several nodes whose picked nodes have
+    joins, those whose draws are no multiple of a chunk's lanes, and those
+    that span two chunks or more.
+    """
+    seen = Counter()
+    for st in strata:
+        for seed in range(3):
+            _draw_both(st, seed)
+        lanes = max(1, diagram._LANE_BYTES // (8 * (len(st.edges) - st.layer + 1)))
+        seen["strata"] += 1
+        seen["joined"] += len(st.ps) > 1 and any(st.starts[0])
+        seen["ragged"] += st.draws % lanes > 0
+        seen["chunked"] += st.draws > lanes
+    return seen
+
+
+class TestLanesMatchScalarDraws:
+    """The lanes draw every stratum exactly as the draw-by-draw loop does.
+
+    Each corpus runs both paths by name on every stratum, with three seeds,
+    whatever path :func:`sample_group_stratum` would take.  Together the
+    corpora hold multi-node strata whose picked nodes have joins, draw
+    counts that are no multiple of the chunk's lanes, and strata that span
+    two chunks or more.
+    """
+
+    def test_small_cases(self):
+        seen = Counter()
+        for seed in range(60):
+            g, t = small_case(seed)
+            for w in (0, 1, 2, 4, 16):
+                for s in (200, 2000):
+                    seen += _draw_corpus(_build(g, t, w, s, "double", None).strata)
+        assert seen["strata"] > 800
+        assert seen["joined"] > 0 and seen["ragged"] > 0
+
+    def test_karate(self, karate_graph):
+        t = TerminalSet.of([6, 7, 9, 18, 27])
+        seen = Counter()
+        for w in (0, 100):
+            build = _build(karate_graph, t, w, 10000, "double", None)
+            seen += _draw_corpus(build.strata)
+        assert seen["joined"] > 0 and seen["ragged"] > 0 and seen["chunked"] > 0
+
+    def test_criterion_7_graph(self, monkeypatch):
+        from relnet.pipeline import estimate_pipeline
+
+        strata = []
+        real = diagram.sample_group_stratum
+
+        def recording(st, **kw):
+            strata.append(st)
+            return real(st, **kw)
+
+        monkeypatch.setattr(diagram, "sample_group_stratum", recording)
+        g = random_connected_graph(20, 40, seed=77, lo=0.5, hi=0.95)
+        t = random_terminals(g, 4, seed=77)
+        estimate_pipeline(g, t, s=20000, w=256, seed=0)
+        assert _draw_corpus(strata)["joined"] > 0
+
+    def test_grid(self):
+        g = grid_graph(10, 10, seed=0)
+        t = TerminalSet.of([0, 55, 99])
+        seen = _draw_corpus(_build(g, t, 100, 10000, "double", None).strata)
+        assert seen["joined"] > 0
+
+    def test_wide_mc_strata_draw_lanes(self, monkeypatch, karate_graph):
+        # an MC stratum with at least as many draws as suffix edges takes
+        # the lanes; HT strata and narrower MC strata take the loop
+        taken = []
+        for name in ("_draw_lanes", "_draw_scalar"):
+            real = getattr(diagram, name)
+
+            def recording(st, *args, _name=name, _real=real):
+                taken.append((_name, st))
+                return _real(st, *args)
+
+            monkeypatch.setattr(diagram, name, recording)
+        t = TerminalSet.of([6, 7, 9, 18, 27])
+        build = _build(karate_graph, t, 100, 10000, "double", None)
+        for want_outcomes in (False, True):
+            taken.clear()
+            for st in build.strata:
+                sample_group_stratum(st, seed=1, want_outcomes=want_outcomes)
+            wide = [
+                not want_outcomes and st.draws >= len(st.edges) - st.layer
+                for _, st in taken
+            ]
+            assert [name == "_draw_lanes" for name, _ in taken] == wide
+            assert len(taken) == len(build.strata)
+        # the build has strata on both sides of the rule
+        assert {st.draws >= len(st.edges) - st.layer for st in build.strata} == {
+            True, False
+        }
+        eo = order_edges(karate_graph, t)
+        for draws, name in ((karate_graph.m - 1, "_draw_scalar"),
+                            (karate_graph.m, "_draw_lanes")):
+            taken.clear()
+            sample_group_stratum(_stratum(eo, t, 0, "deleted", [ROOT], 1.0, draws))
+            assert [n for n, _ in taken] == [name]
+
+
+class _WordStream:
+    """A stream that serves given 32-bit words, as ``random.Random`` reads them."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def random(self):
+        a = next(self.words) >> 5
+        b = next(self.words) >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        return sum(next(self.words) << 32 * i for i in range(k // 32))
+
+
+def _words_of(k, junk):
+    """A word pair whose ``random()`` value is k / 2**53, low bits ``junk``."""
+    return (k >> 26) << 5 | junk & 31, (k & (1 << 26) - 1) << 6 | junk & 63
+
+
+class TestLaneThresholds:
+    """An edge is on in a lane iff its 53-bit value is below ceil(p * 2**53)."""
+
+    # (p, ceil(p * 2**53)); 0.5's cut is its top byte alone
+    CUTS = ((1.0, 2**53), (0.5, 2**52), (2.0**-60, 1), (1.0 - 2.0**-53, 2**53 - 1))
+    PROBS = tuple(p for p, _ in CUTS)
+
+    @staticmethod
+    def _edge_stratum(p, draws):
+        g = UncertainGraph(2, ((0, 1),), (p,))
+        t = TerminalSet.of([0, 1])
+        return _stratum(order_edges(g, t), t, 0, "deleted", [ROOT], 1.0, draws)
+
+    @pytest.mark.parametrize("p, cut", CUTS)
+    def test_values_next_to_the_cut(self, p, cut):
+        ks = sorted({
+            min(max(k, 0), 2**53 - 1)
+            for k in (0, 1, cut - 2, cut - 1, cut, cut + 1, 2**53 - 1)
+        })
+        words = []
+        for d, k in enumerate(k for k in ks for _ in range(2)):
+            # every k twice, with and without junk in the bits random() drops
+            pair = _words_of(k, -(d % 2))
+            assert _WordStream(pair).random() * 2**53 == k
+            words += [d * 7919, 0xFFFFFFFF, *pair]  # the node pick, the edge
+        expected = 2 * sum(k < cut for k in ks)
+        st = self._edge_stratum(p, 2 * len(ks))
+        assert diagram._draw_scalar(st, _WordStream(words), False)[0] == expected
+        assert diagram._draw_lanes(st, _WordStream(words)) == expected
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_random_streams(self, p):
+        # about one lane in 256 ties the cut's top byte; 0.5's cut is its
+        # top byte alone
+        st = self._edge_stratum(p, 3000)
+        for seed in range(3):
+            _draw_both(st, seed)
 
 
 def _conditional_reliability(g, eo, t, decided):
