@@ -7,28 +7,30 @@ disconnected leave the diagram immediately and feed two running masses,
 the lower bound ``p_c`` and the complement of the upper bound ``p_d``.  Only
 one layer is resident at a time: expanding a node releases it.
 
-A node's two transitions depend only on its state and on the step's
-signature (:func:`_signature`): the positions and terminal flags of the
+The edge order is the build's one plan (:class:`EdgeOrder`).  One sweep
+over its layers gives each layer's frontier and step, and the points where
+a suffix draw is checked.  A node's two transitions depend only on its
+state and on the layer's step: the positions and terminal flags of the
 decided edge's endpoints, where each next-frontier vertex comes from, and
 whether every terminal is reached.  Along a regular order such as a grid
-strip's, one signature comes back once a column, so the layers of a
-recurring signature share one table of transitions keyed by the state, and
-each looks its nodes up there before computing any.  A table lives from its
-signature's first occurrence to its last, which reads it and adds nothing,
-so each transition is computed once per signature and no table outlives the
-build.
+strip's, one step comes back once a column, so the layers of a recurring
+step share one table of transitions keyed by the state, and each looks its
+nodes up there before computing any.  A table lives from its step's first
+occurrence to its last, which reads it and adds nothing, so each
+transition is computed once per step and no table outlives the build.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
 undecided edges, a suffix of the order's edge table, and draw all of it.
 Each draw completes one node with a union-find over vertex ids that starts
 with the node's components joined; an edge inside a component joins nothing.
-An MC draw stops at the first checkpoint where its outcome is decided and
-passes its random stream over the edges it leaves, so it draws what a full
-pass would.  A stratum with at least as many MC draws as suffix edges
-draws them as bit-sliced lanes: it reads the same stream words in bulk,
-builds each edge's mask of lanes from their top bytes, and decides every
-lane's full pass by reachability over those masks and its node's joins.
+An MC draw stops at the first of the order's checks where its outcome is
+decided and passes its random stream over the edges it leaves, so it draws
+what a full pass would.  A stratum with at least as many MC draws as
+suffix edges draws them as bit-sliced lanes: it reads the same stream
+words in bulk, builds each edge's mask of lanes from their top bytes, and
+decides every lane's full pass by reachability over those masks and its
+node's joins.
 An early-stopped draw reaches the full pass's verdict and skips the words
 the full pass reads, so the lanes' successes and end state are the loop's.
 Once a layer has been split, the build stops as soon as the nodes still
@@ -40,7 +42,7 @@ Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, per-layer budgets and one flat record per scheduled
 stratum) followed by a sampling pass over those records.  A record keeps its
 nodes as plain columns, with no node object, together with what every draw
-of the stratum shares: its unreached terminals and checkpoint stretches.  A
+of the stratum shares: its unreached terminals and the order's checks.  A
 node's union-find start is made the first time a draw picks it and kept in
 the record, so a warm call, one that reuses the build with a new seed, does
 only the work that depends on the seed.  The plain-sampling baseline is a
@@ -61,6 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil
+from operator import itemgetter
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -93,21 +96,44 @@ class WidthCapExceeded(RuntimeError):
 # Edge ordering and frontiers
 # ---------------------------------------------------------------------------
 
+CHECK_SPACING = 8  # order edges between two checks, per root find a check takes
+
+
 @dataclass(frozen=True)
 class EdgeOrder:
-    """A processing order for the edges and the induced frontier profile.
+    """A processing order for the edges, and all that both phases read of it.
 
     ``order[l]`` is the original index of the edge decided at layer l, and
     ``edges[l]`` is that edge as (u, v, p, 1 - p); the undecided edges at
-    layer l are ``edges[l:]``.  ``frontiers[l]`` lists the vertices incident
-    to both decided and undecided edges just before layer l is processed; it
-    is derived from the order alone.
+    layer l are ``edges[l:]``.  ``first[v]`` is the first layer whose edge
+    touches v (m if none), and ``frontiers[l]`` lists the vertices incident
+    to both decided and undecided edges just before layer l is processed.
+
+    ``steps[l]`` is all that :func:`_apply_both` reads of the step deciding
+    layer l: (u_pos, v_pos, u_tinit, v_tinit, next_src, closing), the
+    positions of the edge's endpoints in ``frontiers[l]`` (-1 if entering),
+    the terminal flag of each endpoint's singleton component on entry, per
+    vertex of ``frontiers[l + 1]`` its position in ``frontiers[l]``, or -2
+    (u) / -3 (v), and whether every terminal has been reached once layer l
+    is decided.  Two layers with equal steps, which share one tuple, give
+    every node the same transitions, whatever their edge or undecided edges.
+
+    ``checks`` are the points where an MC draw over a suffix is checked, as
+    (pos, live, rest) in position order: one every ``CHECK_SPACING`` times
+    (k + frontier width) edges from layer 0, the last stretch as long or
+    longer, and then the end of the order, ``(m, (), 0)``.  ``live`` is
+    ``frontiers[pos]`` plus the terminals not reached before pos, and
+    ``rest`` the count of edges from pos on.  A draw's target whose root is
+    no live vertex's root is in a component with no undecided edge left.
     """
 
     order: tuple[int, ...]
     edges: tuple[tuple[int, int, float, float], ...]
     first: tuple[int, ...]
     frontiers: tuple[tuple[int, ...], ...]
+    terminals: TerminalSet
+    steps: tuple[tuple, ...]
+    checks: tuple[tuple[int, tuple[int, ...], int], ...]
 
     @property
     def max_frontier(self) -> int:
@@ -118,7 +144,9 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     """Default ordering: breadth-first from the smallest terminal.
 
     Edges are emitted when their first endpoint is dequeued, which keeps the
-    frontier narrow on path-like and planar-like graphs.
+    frontier narrow on path-like and planar-like graphs.  One sweep over the
+    layers then makes the frontiers and the steps, and the checks are read
+    off the frontiers.
     """
     m = g.m
     start = min(terminals.vertices)
@@ -157,20 +185,44 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
         if last[v] >= 0:
             enter[first[v]].append(v)
             leave[last[v]].append(v)
+    tset = terminals.vertices
+    all_reached = max(first[x] for x in tset)  # the last terminal's first layer
+    shared = {}.setdefault
     frontier: list[int] = []
     frontiers: list[tuple[int, ...]] = [()]
-    for pos in range(m):
-        for v in enter[pos]:
-            insort(frontier, v)
-        for v in leave[pos]:
-            del frontier[bisect_left(frontier, v)]
+    steps = []
+    for pos, j in enumerate(order):
+        u, v = g.edges[j]
+        index = {x: i for i, x in enumerate(frontier)}
+        for x in enter[pos]:
+            insort(frontier, x)
+        for x in leave[pos]:
+            del frontier[bisect_left(frontier, x)]
         frontiers.append(tuple(frontier))
+        src = tuple([-2 if x == u else -3 if x == v else index[x] for x in frontier])
+        step = (index.get(u, -1), index.get(v, -1), u in tset, v in tset, src,
+                pos >= all_reached)
+        steps.append(shared(step, step))
+
+    checks = []
+    pos = 0
+    while True:
+        gap = CHECK_SPACING * (terminals.k + len(frontiers[pos]))
+        if m - pos < 2 * gap:
+            break
+        pos += gap
+        live = frontiers[pos] + tuple(x for x in terminals.sorted() if first[x] >= pos)
+        checks.append((pos, live, m - pos))
+    checks.append((m, (), 0))
     probs = g.probs
     return EdgeOrder(
         order=tuple(order),
         edges=tuple((*g.edges[j], probs[j], 1.0 - probs[j]) for j in order),
         first=tuple(first),
         frontiers=tuple(frontiers),
+        terminals=terminals,
+        steps=tuple(steps),
+        checks=tuple(checks),
     )
 
 
@@ -203,37 +255,6 @@ ONE_SINK = "one"
 ZERO_SINK = "zero"
 
 
-def _signature(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple:
-    """All that :func:`_apply_both` reads of the step deciding ``layer``.
-
-    Returns (u_pos, v_pos, u_tinit, v_tinit, next_src, closing): the
-    positions of the edge's endpoints in the old frontier (-1 if entering),
-    the terminal flag of each endpoint's singleton component on entry, per
-    new-frontier vertex its old position, or -2 (u) / -3 (v), and whether
-    every terminal has been reached once this layer is decided.  Two layers
-    with equal signatures give every node the same transitions, whatever
-    their edge or undecided edges.
-    """
-    u, v = eo.edges[layer][:2]
-    pos = {x: i for i, x in enumerate(eo.frontiers[layer])}
-    src = []
-    for x in eo.frontiers[layer + 1]:
-        if x == u:
-            src.append(-2)
-        elif x == v:
-            src.append(-3)
-        else:
-            src.append(pos[x])
-    return (
-        pos.get(u, -1),
-        pos.get(v, -1),
-        u in terminals.vertices,
-        v in terminals.vertices,
-        tuple(src),
-        not _unreached(eo, layer + 1, terminals),
-    )
-
-
 def _finish(src, t, merged_from, merged_to):
     """Renumber surviving components over the new frontier.
 
@@ -260,16 +281,16 @@ def _finish(src, t, merged_from, merged_to):
     return (tuple(cc), tuple(ct))
 
 
-def _apply_both(comp: tuple[int, ...], t: tuple[bool, ...], sig: tuple):
+def _apply_both(comp: tuple[int, ...], t: tuple[bool, ...], step: tuple):
     """Both transitions of a node ``(comp, t)`` across one edge decision.
 
-    ``sig`` is the step's :func:`_signature`.  Returns (off, on) where each
-    entry is ONE_SINK, ZERO_SINK, or the child state produced by
-    :func:`_finish`.  Joining two flagged components is ONE_SINK once every
+    ``step`` is the layer's, from :attr:`EdgeOrder.steps`.  Returns (off,
+    on) where each entry is ONE_SINK, ZERO_SINK, or the child state produced
+    by :func:`_finish`.  Joining two flagged components is ONE_SINK once every
     terminal is reached and no other component is flagged, since a reached
     terminal stranded off the frontier was ZERO_SINK already.
     """
-    u_pos, v_pos, u_tinit, v_tinit, next_src, closing = sig
+    u_pos, v_pos, u_tinit, v_tinit, next_src, closing = step
     baset = list(t)
 
     if u_pos >= 0:
@@ -317,7 +338,7 @@ def split_layer(nodes: list[Node], width: int) -> tuple[list[Node], list[Node]]:
 # ---------------------------------------------------------------------------
 
 def stratum_quotient(
-    g: UncertainGraph, eo: EdgeOrder, layer: int, node: Node, terminals: TerminalSet
+    eo: EdgeOrder, layer: int, node: Node
 ) -> tuple[UncertainGraph, TerminalSet]:
     """Collapse a node's decided prefix onto its components.
 
@@ -330,7 +351,7 @@ def stratum_quotient(
     :func:`sample_group_stratum` draws the same connectivity without building
     this graph: it also draws the internal edges, which join nothing.
     """
-    unreached = _unreached(eo, layer, terminals)
+    unreached = _unreached(eo, layer)
     joins, targets = _node_pass(eo.frontiers[layer], node.comp, node.t, unreached)
     it = iter(joins)
     roots = dict(zip(it, it))
@@ -351,9 +372,9 @@ def stratum_quotient(
     return quotient, TerminalSet.of(ids[x] for x in targets)
 
 
-def _unreached(eo: EdgeOrder, layer: int, terminals: TerminalSet) -> tuple[int, ...]:
+def _unreached(eo: EdgeOrder, layer: int) -> tuple[int, ...]:
     """The terminals the order has not reached before ``layer``, ascending."""
-    return tuple(x for x in terminals.sorted() if eo.first[x] >= layer)
+    return tuple(x for x in eo.terminals.sorted() if eo.first[x] >= layer)
 
 
 def _node_pass(
@@ -383,40 +404,6 @@ def _node_pass(
     return tuple(joins), targets + unreached
 
 
-CHECK_SPACING = 8  # suffix edges between two checks, per root find a check takes
-
-
-def _checkpoints(
-    eo: EdgeOrder, layer: int, k: int, unreached: Sequence[int]
-) -> tuple[tuple[int, int, tuple[tuple[int, ...], int]], ...]:
-    """The stretches [lo, hi) of a stratum's suffix between MC checkpoints.
-
-    Returns (lo, hi, check) in position order, covering ``layer`` to the
-    end.  A stretch is ``CHECK_SPACING`` times (k + frontier at lo) edges
-    long, and the last one is as long or longer.  The check, made once
-    every suffix edge before hi is drawn, is (live, rest):
-    ``eo.frontiers[hi]`` plus the ``unreached`` terminals still unreached
-    at hi, and the count of suffix edges from hi on.  A target whose root
-    is no live vertex's root is in a component with no undecided edge
-    left.  The last stretch ends the suffix, so its check is ``((), 0)``.
-    """
-    m = len(eo.edges)
-    frontiers = eo.frontiers
-    first = eo.first
-    plan: list[tuple[int, int, tuple[tuple[int, ...], int]]] = []
-    lo = layer
-    while True:
-        gap = CHECK_SPACING * (k + len(frontiers[lo]))
-        hi = lo + gap
-        if m - hi < gap:
-            break
-        live = frontiers[hi] + tuple(x for x in unreached if first[x] >= hi)
-        plan.append((lo, hi, (live, m - hi)))
-        lo = hi
-    plan.append((lo, m, ((), 0)))
-    return tuple(plan)
-
-
 class Stratum:
     """One scheduled stratum: a group of same-layer nodes drawn as one.
 
@@ -429,14 +416,15 @@ class Stratum:
 
     ``edges`` is the order's edge table, ``n`` the vertex count,
     ``frontier`` the layer's frontier, ``unreached`` the terminals the order
-    has not reached before ``layer``, and ``plan`` the checkpoint stretches
-    of :func:`_checkpoints` as (lo, hi, check).  A pass slices the table at
-    them: a build of a deep instance would hold every stratum's suffix
-    otherwise.  ``starts``, made by the first pass, is (joins, targets,
-    shared): node i's joins and targets from :func:`_node_pass` at i, None
-    until a draw first picks node i and then kept, so later passes over a
-    reused build find them.  Equal targets, which most nodes share, are
-    kept once through ``shared``.
+    has not reached before ``layer``, and ``plan`` the order's checks after
+    ``layer`` (:attr:`EdgeOrder.checks`), the end of the order last.  A pass
+    slices the table at them into stretches, the first from ``layer``: a
+    build of a deep instance would hold every stratum's suffix otherwise.
+    ``starts``, made by the first pass, is (joins, targets, shared): node
+    i's joins and targets from :func:`_node_pass` at i, None until a draw
+    first picks node i and then kept, so later passes over a reused build
+    find them.  Equal targets, which most nodes share, are kept once
+    through ``shared``.
     """
 
     __slots__ = ("layer", "kind", "draws", "mass", "ps", "cum", "comps", "ts",
@@ -445,7 +433,6 @@ class Stratum:
     def __init__(
         self,
         eo: EdgeOrder,
-        terminals: TerminalSet,
         layer: int,
         kind: str,
         ps: tuple[float, ...],
@@ -465,8 +452,13 @@ class Stratum:
         self.edges = eo.edges
         self.n = len(eo.first)
         self.frontier = eo.frontiers[layer]
-        self.unreached = _unreached(eo, layer, terminals)
-        self.plan = _checkpoints(eo, layer, terminals.k, self.unreached)
+        self.unreached = _unreached(eo, layer)
+        # the order's checks after ``layer``; the end of the order, the last
+        # check, is in every plan
+        checks = eo.checks
+        self.plan = checks[
+            bisect_right(checks, layer, 0, len(checks) - 1, key=itemgetter(0)):
+        ]
         self.starts: Optional[tuple[list, list, dict]] = None
 
 
@@ -480,23 +472,24 @@ def sample_group_stratum(
     budget individually), found by bisecting ``stratum.cum``, then completes
     the node over the layer's undecided suffix.
 
-    Every node draws the same edges: the whole suffix, cut at the
-    checkpoints of ``stratum.plan``.  A draw copies the identity over vertex
-    ids and applies the node's joins from ``stratum.starts`` (made on the
-    node's first pick), so each of its components is already joined.  It
-    takes one ``random()`` per suffix edge, in order, joining the endpoints
-    of every edge drawn; an edge inside one component joins nothing, so the
-    draw connects what sampling :func:`stratum_quotient` would.  A draw
+    Every node draws the same edges: the whole suffix, cut at the checks of
+    ``stratum.plan``.  A draw copies the identity over vertex ids and
+    applies the node's joins from ``stratum.starts`` (made on the node's
+    first pick), so each of its components is already joined.  It takes one
+    ``random()`` per suffix edge, in order, joining the endpoints of every
+    edge drawn; an edge inside one component joins nothing, so the draw
+    connects what sampling :func:`stratum_quotient` would.  A draw
     succeeds when all its targets share one root.
 
-    An MC draw finds its targets' roots at each checkpoint of the plan (see
-    :func:`_checkpoints`) and stops at the first that decides it: all
-    targets share one root, or a target's component has no undecided edge
-    left.  The last checkpoint is the end of the suffix, so the roots found
-    at the check that stops a draw are its verdict.  A draw that stops
-    before the end passes the stream over the ``rest`` suffix edges it
-    leaves with one ``getrandbits(64 * rest)``, which reads the same 32-bit
-    words as ``rest`` calls of ``random()``.
+    An MC draw finds its targets' roots at each check of the plan (see
+    :class:`EdgeOrder`) and stops at the first that decides it: all targets
+    share one root, or a target's component has no undecided edge left.
+    The last check is the end of the suffix, so the roots found at the
+    check that stops a draw are its verdict.  A draw that stops before the
+    end passes the stream over the ``rest`` suffix edges it leaves with one
+    ``getrandbits(64 * rest)``, which reads the same 32-bit words as
+    ``rest`` calls of ``random()``.  Where the checks sit changes neither
+    the verdict nor the words read, only how many are read one by one.
 
     So every MC draw reads the words of 1 + L ``random()`` calls, L the
     suffix length, and reaches the full pass's verdict.  An MC stratum with
@@ -553,7 +546,11 @@ def _draw_scalar(
     total = cum[-1]
     last = len(cum) - 1
     edges = st.edges
-    segments = [(edges[lo:hi], live, rest) for lo, hi, (live, rest) in st.plan]
+    segments = []
+    lo = st.layer
+    for hi, live, rest in st.plan:
+        segments.append((edges[lo:hi], live, rest))
+        lo = hi
     base = list(range(st.n))
     successes = 0
     outcomes: Optional[list] = [] if want_outcomes else None
@@ -658,10 +655,9 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
     width = max(1, _LANE_BYTES // stride)
     edges = []
     for e, (a, b, p, _) in enumerate(st.edges[st.layer:]):
-        cut = ceil(p * _TWO_TO_53)
-        if cut > 0:
-            # the offset of the top byte of the edge's w0 in a draw's block
-            edges.append((a, b, cut, stride - 12 - 8 * e))
+        # the edge's cut, and the offset of the top byte of its w0 in a
+        # draw's block
+        edges.append((a, b, ceil(p * _TWO_TO_53), stride - 12 - 8 * e))
     cum = st.cum
     total = cum[-1]
     last = len(cum) - 1
@@ -767,7 +763,7 @@ class BuildConfig:
 
 def expand_layer(
     nodes: list[Node],
-    sig: tuple,
+    step: tuple,
     pe: Probability,
     p_c: KahanSum | FractionSum,
     p_d: KahanSum | FractionSum,
@@ -782,9 +778,9 @@ def expand_layer(
     the bounds trajectory.  Returns the next layer, in creation order, and
     its total mass.
 
-    ``sig`` is the layer's :func:`_signature`, and ``table`` maps a node's
-    state to the (off, on) pair that :func:`_apply_both` gave it at a layer
-    with the same signature; a node found there is not recomputed.
+    ``step`` is the layer's, from :attr:`EdgeOrder.steps`, and ``table``
+    maps a node's state to the (off, on) pair that :func:`_apply_both` gave
+    it at a layer with the same step; a node found there is not recomputed.
     ``record``, when given, receives the pair of every node not found there,
     under the same key.  ``nodes`` is consumed: each parent is released as
     soon as it is expanded, so the two layers are never both resident in
@@ -803,7 +799,7 @@ def expand_layer(
         comp, t = key = nd.comp, nd.t
         both = known(key)
         if both is None:
-            both = _apply_both(comp, t, sig)
+            both = _apply_both(comp, t, step)
             if record is not None:
                 record[key] = both
         off, on = both
@@ -875,12 +871,12 @@ def _build(
     neither the seed nor the estimator changes what is built, and a build is
     reused across seeds.
 
-    Layers whose steps share a signature share transitions: the layers of a
-    recurring signature read and extend one table, made at its first
-    occurrence.  The last occurrence only reads it and drops it, and a
-    signature that never recurs gets no table, since a table written there
-    would only raise the build's peak memory.  So each state's transitions
-    are computed once per signature, and no table outlives the build.
+    Layers with equal steps share transitions: the layers of a recurring
+    step read and extend one table, made at its first occurrence.  The last
+    occurrence only reads it and drops it, and a step that never recurs gets
+    no table, since a table written there would only raise the build's peak
+    memory.  So each state's transitions are computed once per step, and no
+    table outlives the build.
 
     Once some layer has been split, the build stops after the first layer
     whose resident nodes either meet the budget when sampled or hold less
@@ -937,7 +933,7 @@ def _build(
                 unsampled_mass.add(mass)
             return 0
         strata.append(Stratum(
-            eo, terminals, layer, kind,
+            eo, layer, kind,
             tuple(float(nd.p) for nd in nodes),
             tuple(nd.comp for nd in nodes),
             tuple(shared_t(nd.t, nd.t) for nd in nodes),
@@ -964,19 +960,17 @@ def _build(
         # every edge, and no layer is expanded
         add_stratum(layer_nodes, 1.0, 0, "deleted")
         layer_nodes = []
-    sigs = [] if width == 0 else [
-        _signature(eo, layer, terminals) for layer in range(g.m)
-    ]
-    recurrences = Counter(sigs)
+    steps = () if width == 0 else eo.steps
+    recurrences = Counter(steps)
     tables: dict[tuple, dict] = {}
-    for layer, sig in enumerate(sigs):
-        recurrences[sig] -= 1
-        if recurrences[sig]:
-            table = record = tables.setdefault(sig, {})
+    for layer, step in enumerate(steps):
+        recurrences[step] -= 1
+        if recurrences[step]:
+            table = record = tables.setdefault(step, {})
         else:
-            table, record = tables.pop(sig, None), None
+            table, record = tables.pop(step, None), None
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, sig, probs[eo.order[layer]], p_c, p_d, table, record,
+            layer_nodes, step, probs[eo.order[layer]], p_c, p_d, table, record,
         )
         layers_done = layer + 1
         if width_cap is not None and len(layer_nodes) > width_cap:

@@ -17,7 +17,6 @@ from relnet.diagram import (
     WidthCapExceeded,
     _apply_both,
     _build,
-    _signature,
     construct,
     exact_reliability,
     expand_layer,
@@ -44,6 +43,7 @@ from relnet.graph import (
 )
 from relnet.generate import (
     grid_graph,
+    preferential_graph,
     random_connected_graph,
     random_terminals,
     tree_rich_graph,
@@ -89,40 +89,92 @@ class TestOrderEdges:
         assert eo.frontiers[2] == (1, 2)
 
     def test_fields_match_the_definition(self, karate_graph):
+        from relnet.reduction import preprocess
+
         cases = [small_case(seed) for seed in range(60)]
         cases.append((karate_graph, TerminalSet.of([0, 33])))
         cases.append((grid_graph(40, 40, seed=0), TerminalSet.of([0, 1599])))
+        # the strip's part is long enough for checks before its end, which
+        # karate and the grid above have none of
+        strip = grid_graph(6, 100, seed=0)
+        (part,) = preprocess(strip, TerminalSet.of([0, 350, 599])).parts
+        cases.append(part)
+        edgeless = (UncertainGraph(2, (), ()), TerminalSet.of([0, 1]))
+        cases.append(edgeless)
+        pref = preferential_graph(60, 2, seed=3)
+        cases.append((pref, TerminalSet.of([0, 17, 33, 51])))
+        # terminal 25 enters at the path's one check, layer 24, so it is live
+        cases.append((path_graph(60), TerminalSet.of([0, 25, 60])))
+        inner_checks = 0
         for g, t in cases:
             eo = order_edges(g, t)
             assert sorted(eo.order) == list(range(g.m))
-            assert eo == _edge_order_by_definition(g, eo.order)
+            assert eo == _edge_order_by_definition(g, t, eo.order)
+            inner_checks += len(eo.checks) - 1
+        assert inner_checks > 10
+        assert order_edges(*edgeless).steps == ()
+
+    def test_equal_steps_share_one_tuple(self):
+        g, t = TestTransitionTables.STRIP
+        steps = order_edges(g, t).steps
+        assert len({id(step) for step in steps}) == len(set(steps)) < g.m / 5
 
 
-def _edge_order_by_definition(g, order):
+def _edge_order_by_definition(g, t, order):
     """EdgeOrder fields derived from ``order`` straight from their definitions."""
+    m = g.m
     positions = {j: pos for pos, j in enumerate(order)}
     inc_pos = [sorted(positions[j] for j in g.incident(v)) for v in range(g.n)]
-    first = [p[0] if p else g.m for p in inc_pos]
+    first = [p[0] if p else m for p in inc_pos]
     last = [p[-1] if p else -1 for p in inc_pos]
     frontiers = tuple(
         tuple(v for v in range(g.n) if first[v] < l <= last[v])
-        for l in range(g.m + 1)
+        for l in range(m + 1)
     )
+
+    def unreached(pos):
+        return tuple(x for x in sorted(t.vertices) if first[x] >= pos)
+
+    steps = []
+    for layer, j in enumerate(order):
+        u, v = g.edges[j]
+        old, new = frontiers[layer], frontiers[layer + 1]
+        steps.append((
+            old.index(u) if u in old else -1,
+            old.index(v) if v in old else -1,
+            u in t.vertices,
+            v in t.vertices,
+            tuple(-2 if x == u else -3 if x == v else old.index(x) for x in new),
+            not unreached(layer + 1),
+        ))
+    # a check CHECK_SPACING * (k + frontier width) edges after the previous
+    # one, while the stretch after it is as long; then the end of the order
+    checks = []
+    pos = 0
+    gap = diagram.CHECK_SPACING * (t.k + len(frontiers[pos]))
+    while pos + 2 * gap <= m:
+        pos += gap
+        checks.append((pos, frontiers[pos] + unreached(pos), m - pos))
+        gap = diagram.CHECK_SPACING * (t.k + len(frontiers[pos]))
+    checks.append((m, (), 0))
     return EdgeOrder(
         order=tuple(order),
         edges=tuple((*g.edges[j], g.probs[j], 1 - g.probs[j]) for j in order),
         first=tuple(first),
         frontiers=frontiers,
+        terminals=t,
+        steps=tuple(steps),
+        checks=tuple(checks),
     )
 
 
 ROOT = Node(1.0, (), ())
 
 
-def _stratum(eo, t, layer, kind, nodes, mass, draws):
+def _stratum(eo, layer, kind, nodes, mass, draws):
     """The sampler's record of ``nodes``, as a build makes it."""
     return Stratum(
-        eo, t, layer, kind,
+        eo, layer, kind,
         tuple(float(nd.p) for nd in nodes),
         tuple(nd.comp for nd in nodes),
         tuple(nd.t for nd in nodes),
@@ -137,7 +189,7 @@ def _nodes(st):
 
 def _both(g, t, layer, node):
     """(off, on) results of the real transition at one layer."""
-    return _apply_both(node.comp, node.t, _signature(order_edges(g, t), layer, t))
+    return _apply_both(node.comp, node.t, order_edges(g, t).steps[layer])
 
 
 def _child(res):
@@ -150,7 +202,7 @@ def _expand(g, t, layer, nodes):
     p_c, p_d = KahanSum(), KahanSum()
     eo = order_edges(g, t)
     pe = g.probs[eo.order[layer]]
-    nxt, _ = expand_layer(nodes, _signature(eo, layer, t), pe, p_c, p_d)
+    nxt, _ = expand_layer(nodes, eo.steps[layer], pe, p_c, p_d)
     return nxt, p_c.value, p_d.value
 
 
@@ -326,7 +378,7 @@ class TestTransitionTables:
         for done in range(layer):
             nodes, _, _ = _expand(g, t, done, nodes)
         eo = order_edges(g, t)
-        sig = _signature(eo, layer, t)
+        sig = eo.steps[layer]
 
         def expand(table, record):
             p_c, p_d = KahanSum(), KahanSum()
@@ -410,7 +462,7 @@ class TestTransitionTables:
             _build(g, t, width, 10000, "double", None)
             _build.cache_clear()
             eo = order_edges(g, t)
-            sigs = [_signature(eo, layer, t) for layer in range(g.m)]
+            sigs = list(eo.steps)
             last = {sig: layer for layer, sig in enumerate(sigs)}
             assert [sig for sig, _, _ in seen] == sigs[:len(seen)]
             assert width is not None or len(seen) == g.m
@@ -509,7 +561,7 @@ class TestDeleteAndSample:
         survivors, deleted = split_layer(nodes, 1)
         mass = sum(float(nd.p) for nd in deleted)
         stratum = sample_group_stratum(
-            _stratum(eo, t, layer, "deleted", deleted, mass, 30), seed=0
+            _stratum(eo, layer, "deleted", deleted, mass, 30), seed=0
         )
         assert len(survivors) == 1
         assert stratum.draws == 30
@@ -546,7 +598,7 @@ class TestStratumQuotient:
                     break
             if layer == 0:
                 continue
-            quotient, qterms = stratum_quotient(g, eo, layer, node, t)
+            quotient, qterms = stratum_quotient(eo, layer, node)
             got = brute_force_reliability(quotient, qterms).reliability
             expected = _conditional_reliability(g, eo, t, decided)
             assert got == pytest.approx(expected, abs=1e-9)
@@ -555,7 +607,7 @@ class TestStratumQuotient:
         # the plain baseline samples the root's quotient in place of the graph
         for seed in range(40):
             g, t = small_case(seed)
-            quotient, qterms = stratum_quotient(g, order_edges(g, t), 0, ROOT, t)
+            quotient, qterms = stratum_quotient(order_edges(g, t), 0, ROOT)
             assert quotient.m == g.m
             assert naive_reliability(quotient, qterms) == pytest.approx(
                 naive_reliability(g, t), abs=1e-12
@@ -605,7 +657,7 @@ def _reference_stratum(g, eo, layer, t, nodes, draws, seed, kind):
     for _ in range(draws):
         i = min(bisect_right(cum, rng.random() * total), len(nodes) - 1)
         if i not in quotients:
-            quotient, qterms = stratum_quotient(g, eo, layer, nodes[i], t)
+            quotient, qterms = stratum_quotient(eo, layer, nodes[i])
             bits = _crossing_bits(eo, layer, nodes[i])
             assert len(bits) == quotient.m
             quotients[i] = quotient, qterms, bits
@@ -652,7 +704,7 @@ class TestSamplerMatchesQuotientSampling:
         build = _build(g, t, w, s, "double", None)
         eo = order_edges(g, t)
         chorded = sum(self._check(g, t, eo, st, seed) for st in build.strata)
-        root = _stratum(eo, t, 0, "deleted", [ROOT], 1.0, 300)
+        root = _stratum(eo, 0, "deleted", [ROOT], 1.0, 300)
         self._check(g, t, eo, root, seed)
         return len(build.strata), chorded
 
@@ -695,7 +747,7 @@ class TestSamplerMatchesQuotientSampling:
         monkeypatch.setattr(rngmod, "stream", counting)
         build = _build(g, t, w, s, "double", None)
         eo = order_edges(g, t)
-        root = _stratum(eo, t, 0, "deleted", [ROOT], 1.0, 300)
+        root = _stratum(eo, 0, "deleted", [ROOT], 1.0, 300)
         calls = [0, 0]
         for st in (*build.strata, root):
             streams.clear()
@@ -882,7 +934,7 @@ class TestLanesMatchScalarDraws:
         for draws, name in ((karate_graph.m - 1, "_draw_scalar"),
                             (karate_graph.m, "_draw_lanes")):
             taken.clear()
-            sample_group_stratum(_stratum(eo, t, 0, "deleted", [ROOT], 1.0, draws))
+            sample_group_stratum(_stratum(eo, 0, "deleted", [ROOT], 1.0, draws))
             assert [n for n, _ in taken] == [name]
 
 
@@ -918,7 +970,7 @@ class TestLaneThresholds:
     def _edge_stratum(p, draws):
         g = UncertainGraph(2, ((0, 1),), (p,))
         t = TerminalSet.of([0, 1])
-        return _stratum(order_edges(g, t), t, 0, "deleted", [ROOT], 1.0, draws)
+        return _stratum(order_edges(g, t), 0, "deleted", [ROOT], 1.0, draws)
 
     @pytest.mark.parametrize("p, cut", CUTS)
     def test_values_next_to_the_cut(self, p, cut):
@@ -1197,7 +1249,7 @@ class TestConstruct:
                         total = sum(float(nd.p) for nd in nodes)
                         mean = sum(
                             float(nd.p) / total * naive_reliability(
-                                *stratum_quotient(g, eo, st.layer, nd, t)
+                                *stratum_quotient(eo, st.layer, nd)
                             )
                             for nd in nodes
                         )
@@ -1234,7 +1286,7 @@ class TestConstruct:
                         total += x
                     table = []
                     for i, nd in enumerate(nodes):
-                        quotient, qterms = stratum_quotient(g, eo, layer, nd, t)
+                        quotient, qterms = stratum_quotient(eo, layer, nd)
                         bits = _crossing_bits(eo, layer, nd)
                         table.extend(
                             ((i, mask),
