@@ -26,11 +26,11 @@ Each draw completes one node with a union-find over vertex ids that starts
 with the node's components joined; an edge inside a component joins nothing.
 An MC draw stops at the first of the order's checks where its outcome is
 decided and passes its random stream over the edges it leaves, so it draws
-what a full pass would.  A stratum with at least as many MC draws as
-suffix edges draws them as bit-sliced lanes: it reads the same stream
-words in bulk, builds each edge's mask of lanes from their top bytes, and
-decides every lane's full pass by reachability over those masks and its
-node's joins.
+what a full pass would.  An HT stratum, and an MC stratum with at least as
+many draws as suffix edges, draws as bit-sliced lanes instead: it reads
+the same stream words in bulk, builds each edge's mask of lanes from their
+top bytes, and decides every lane's full pass by reachability over those
+masks and its node's joins; HT records each lane's mask and probability.
 An early-stopped draw reaches the full pass's verdict and skips the words
 the full pass reads, so the lanes' successes and end state are the loop's.
 Once a layer has been split, the build stops as soon as the nodes still
@@ -62,8 +62,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil
-from operator import itemgetter
+from math import ceil, prod
+from operator import getitem, itemgetter
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -492,27 +492,27 @@ def sample_group_stratum(
     the verdict nor the words read, only how many are read one by one.
 
     So every MC draw reads the words of 1 + L ``random()`` calls, L the
-    suffix length, and reaches the full pass's verdict.  An MC stratum with
-    at least L draws therefore draws them as bit-sliced lanes instead
-    (:func:`_draw_lanes`): it reads the same words in bulk and decides the
-    full pass of each, so its successes and its stream's end state are
-    those of the draw-by-draw loop (:func:`_draw_scalar`).  A stratum with
-    fewer draws keeps the loop, whose early stops pay off on long suffixes.
+    suffix length, and reaches the full pass's verdict.  Bit-sliced lanes
+    (:func:`_draw_lanes`) read the same words in bulk and decide the full
+    pass of each draw, so their successes and their stream's end state are
+    those of the draw-by-draw loop (:func:`_draw_scalar`).  An MC stratum
+    with at least L draws takes the lanes; one with fewer keeps the loop,
+    whose early stops pay off on long suffixes.
 
-    The stratum draws from its own stream, named by its layer and kind: a
-    layer has at most one ``"deleted"`` and one ``"resident"`` stratum.  An
-    HT draw takes every suffix edge and finds its roots once, after that
-    pass: its outcome is keyed by the node's index and the suffix mask
-    drawn, and its probability is the node's mass share times the edge
-    factors multiplied in edge order, as :func:`assignment_probability`
-    does.
+    Every HT stratum takes the lanes, which also record each draw's outcome:
+    keyed by the node's index and the suffix mask drawn, it has the node's
+    mass share times the edge factors, multiplied in edge order as
+    :func:`assignment_probability` does, as its probability.  The stratum
+    draws from its own stream, named by its layer and kind: a layer has at
+    most one ``"deleted"`` and one ``"resident"`` stratum.
     """
     st = stratum
     rng = rngmod.stream(seed, "layer", st.layer, st.kind)
-    if not want_outcomes and st.draws >= len(st.edges) - st.layer:
-        successes, outcomes = _draw_lanes(st, rng), None
+    outcomes = [] if want_outcomes else None
+    if want_outcomes or st.draws >= len(st.edges) - st.layer:
+        successes = _draw_lanes(st, rng, outcomes)
     else:
-        successes, outcomes = _draw_scalar(st, rng, want_outcomes)
+        successes = _draw_scalar(st, rng)
     return StratumDraw(
         mass=st.mass, draws=st.draws, successes=successes, outcomes=outcomes
     )
@@ -532,13 +532,10 @@ def _start(st: Stratum, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return joins, targets_of[i]
 
 
-def _draw_scalar(
-    st: Stratum, rng: random.Random, want_outcomes: bool
-) -> tuple[int, Optional[list]]:
-    """Draw the stratum one draw at a time; returns (successes, outcomes).
+def _draw_scalar(st: Stratum, rng: random.Random) -> int:
+    """Draw the stratum's MC draws one at a time; returns the successes.
 
-    See :func:`sample_group_stratum`; ``outcomes`` is None unless
-    ``want_outcomes``.
+    See :func:`sample_group_stratum`.
     """
     rnd = rng.random
     skip = rng.getrandbits
@@ -553,7 +550,6 @@ def _draw_scalar(
         lo = hi
     base = list(range(st.n))
     successes = 0
-    outcomes: Optional[list] = [] if want_outcomes else None
     for _ in range(st.draws):
         i = bisect_right(cum, rnd() * total)
         if i > last:
@@ -564,75 +560,49 @@ def _draw_scalar(
             it = iter(joins)
             for x, root in zip(it, it):
                 parent[x] = root
-        if want_outcomes:
-            mask = 0
-            bit = 1
-            q = 1.0
-            for seg, _, _ in segments:
-                for a, b, p, p_off in seg:
-                    if rnd() < p:
-                        mask |= bit
-                        q *= p
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        while parent[b] != b:
-                            parent[b] = parent[parent[b]]
-                            b = parent[b]
-                        parent[b] = a
-                    else:
-                        q *= p_off
-                    bit <<= 1
+        for seg, live, rest in segments:
+            for a, b, p, _ in seg:
+                if rnd() < p:
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    while parent[b] != b:
+                        parent[b] = parent[parent[b]]
+                        b = parent[b]
+                    parent[b] = a
             roots = set()
             for x in targets:
                 while parent[x] != x:
                     x = parent[x]
                 roots.add(x)
-        else:
-            for seg, live, rest in segments:
-                for a, b, p, _ in seg:
-                    if rnd() < p:
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        while parent[b] != b:
-                            parent[b] = parent[parent[b]]
-                            b = parent[b]
-                        parent[b] = a
-                roots = set()
-                for x in targets:
-                    while parent[x] != x:
-                        x = parent[x]
-                    roots.add(x)
-                if rest:
-                    if len(roots) > 1:
-                        live_roots = set()
-                        for x in live:
-                            while parent[x] != x:
-                                x = parent[x]
-                            live_roots.add(x)
-                        if roots <= live_roots:
-                            continue  # undecided: draw the next segment
-                    skip(64 * rest)
-                break
-        ok = len(roots) == 1
-        if ok:
+            if rest:
+                if len(roots) > 1:
+                    live_roots = set()
+                    for x in live:
+                        while parent[x] != x:
+                            x = parent[x]
+                        live_roots.add(x)
+                    if roots <= live_roots:
+                        continue  # undecided: draw the next segment
+                skip(64 * rest)
+            break
+        if len(roots) == 1:
             successes += 1
-        if want_outcomes:
-            outcomes.append(((i, mask), (st.ps[i] / total) * q, ok))
-    return successes, outcomes
+    return successes
 
 
 _LANE_BYTES = 1 << 18  # stream bytes that one chunk of lanes reads, at most
 _LOW45 = (1 << 45) - 1
 _TWO_TO_53 = float(1 << 53)
 _INV_TWO_TO_53 = 1.0 / _TWO_TO_53
-# _BELOW[c] translates a byte to b"1" when it is below c, else to b"0"
-_BELOW = tuple(b"1" * c + b"0" * (256 - c) for c in range(256))
+# _BELOW[c] translates a byte to b"1" when it is below c, else to b"0" (p = 1: c = 256)
+_BELOW = tuple(b"1" * c + b"0" * (256 - c) for c in range(257))
 
 
-def _draw_lanes(st: Stratum, rng: random.Random) -> int:
-    """Draw the stratum's MC draws as bit-sliced lanes; returns the successes.
+def _draw_lanes(
+    st: Stratum, rng: random.Random, outcomes: Optional[list] = None
+) -> int:
+    """Draw the stratum as bit-sliced lanes; returns the successes.
 
     Draws go in chunks of W lanes, W sized so that a chunk reads at most
     ``_LANE_BYTES`` of stream.  A chunk reads, in one ``getrandbits``, the
@@ -650,14 +620,23 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
     joins, grouped per distinct join, until nothing changes.  A lane
     succeeds when every one of its targets is reached: the verdict of the
     full pass, which an early-stopped scalar draw reaches too.
+
+    Given an ``outcomes`` list, the draws are HT draws: each chunk keeps its
+    picks and edge masks, and appends per draw, in draw order, the record
+    ``((i, mask), (ps[i] / total) * q, verdict)``.  Mask bit e is edge e's
+    lane bit, and q multiplies p or 1 - p over the edges in order from 1.0.
     """
-    stride = 8 * (len(st.edges) - st.layer + 1)  # stream bytes per draw
+    keep = outcomes is not None
+    suffix = st.edges[st.layer:]
+    stride = 8 * (len(suffix) + 1)  # stream bytes per draw
     width = max(1, _LANE_BYTES // stride)
     edges = []
-    for e, (a, b, p, _) in enumerate(st.edges[st.layer:]):
+    for e, (a, b, p, _) in enumerate(suffix):
         # the edge's cut, and the offset of the top byte of its w0 in a
         # draw's block
         edges.append((a, b, ceil(p * _TWO_TO_53), stride - 12 - 8 * e))
+    # HT only: each edge's factor by lane bit, for math.prod to take in order
+    factors = [{"0": p_off, "1": p} for _, _, p, p_off in suffix] if keep else ()
     cum = st.cum
     total = cum[-1]
     last = len(cum) - 1
@@ -672,6 +651,7 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
         buf = rng.getrandbits(8 * stride * w).to_bytes(stride * w, "big")
         full = (1 << w) - 1
 
+        picked: list[int] = []  # HT only: block j's node at j
         if last:
             node_lanes: dict[int, int] = {}
             picks = Struct(">" + f"{stride - 8}xQ" * w).unpack(buf)
@@ -681,8 +661,12 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
                 if i > last:
                     i = last
                 node_lanes[i] = node_lanes.get(i, 0) | 1 << (w - 1 - j)
+                if keep:
+                    picked.append(i)
         else:
             node_lanes = {0: full}
+            if keep:
+                picked = [0] * w
 
         joined: dict[tuple[int, int], int] = {}
         by_targets: dict[tuple[int, ...], int] = {}
@@ -694,10 +678,8 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
             by_targets[targets] = by_targets.get(targets, 0) | lanes
         links = [(x, root, lanes) for (x, root), lanes in joined.items()]
 
+        masks = []  # HT only: each edge's lanes
         for a, b, cut, off in edges:
-            if cut >> 53:
-                links.append((a, b, full))
-                continue
             top = buf[off::stride]
             lanes = int(top.translate(_BELOW[cut >> 45]), 2)
             if cut & _LOW45:
@@ -711,6 +693,8 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
                     j = top.find(tie, j + 1)
             if lanes:
                 links.append((a, b, lanes))
+            if keep:
+                masks.append(lanes)
         del buf  # so that no two chunks' words are alive at once
 
         reach = [0] * st.n
@@ -726,10 +710,21 @@ def _draw_lanes(st: Stratum, rng: random.Random) -> int:
                     reach[b] |= new
                     changed = True
             links.reverse()
+        wins = 0
         for targets, lanes in by_targets.items():
             for x in targets:
                 lanes &= reach[x]
-            successes += lanes.bit_count()
+            wins |= lanes
+        successes += wins.bit_count()
+
+        if keep:
+            # a row of verdicts, then one of bits per edge, each reversed so
+            # that column d, read one at a time, is draw d's
+            rows = [format(lanes, f"0{w}b")[::-1] for lanes in (wins, *masks)]
+            for i, col in zip(reversed(picked), zip(*rows)):
+                q = prod(map(getitem, factors, col[1:]), start=1.0)
+                mask = int("".join(reversed(col)), 2) >> 1
+                outcomes.append(((i, mask), (st.ps[i] / total) * q, col[0] == "1"))
     return successes
 
 

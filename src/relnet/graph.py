@@ -206,7 +206,7 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
     edges: list[tuple[int, int]] = []
     probs: list[float] = []
     literals: list[Fraction] = []
-    max_vertex = -1
+    seen: set[int] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -232,12 +232,16 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
         edges.append((u, v))
         probs.append(p)
         literals.append(p_exact)
-        max_vertex = max(max_vertex, u, v)
+        seen.update((u, v))
 
     if not edges:
         raise GraphFormatError("empty edge list")
+    n = max(seen) + 1
+    if require_connected and len(seen) < n:
+        # an id no edge names is isolated: fail before one list per id is made
+        raise GraphFormatError("graph is not connected")
     g = UncertainGraph(
-        n=max_vertex + 1,
+        n=n,
         edges=tuple(edges),
         probs=tuple(probs),
         exact_probs=tuple(literals),

@@ -691,7 +691,7 @@ class TestSamplerMatchesQuotientSampling:
         )
         if scalar:
             stream = rngmod.stream(seed, "layer", st.layer, st.kind)
-            mc, _ = diagram._draw_scalar(st, stream, False)
+            mc = diagram._draw_scalar(st, stream)
         else:
             mc = sample_group_stratum(st, seed=seed).successes
         ht = sample_group_stratum(st, seed=seed, want_outcomes=True)
@@ -730,13 +730,35 @@ class TestSamplerMatchesQuotientSampling:
         strata, chorded = self._check_build_and_root(g, t, 100, 10000, 1)
         assert strata > 0 and chorded > 0
 
+    def test_karate_root_over_ragged_chunks(self, karate_graph):
+        # the HT lanes' records stay in draw order across chunks: 1,000
+        # draws at 414 lanes a chunk end in a chunk of 172
+        t = TerminalSet.of([6, 7, 9, 18, 27])
+        eo = order_edges(karate_graph, t)
+        root = _stratum(eo, 0, "deleted", [ROOT], 1.0, 1000)
+        lanes = diagram._LANE_BYTES // (8 * (karate_graph.m + 1))
+        assert 2 * lanes < root.draws < 3 * lanes
+        for seed in range(2):
+            self._check(karate_graph, t, eo, root, seed)
+
+    def test_edgeless_graph_at_width_0(self):
+        # an empty suffix: one HT record per draw, with mask 0 and q = 1.0
+        g = UncertainGraph(2, (), ())
+        t = TerminalSet.of([0, 1])
+        (root,) = _build(g, t, 0, 100, "double", None).strata
+        assert root.draws == 100
+        self._check(g, t, order_edges(g, t), root, 0)
+        ht = sample_group_stratum(root, want_outcomes=True)
+        assert ht.outcomes == [((0, 0), 1.0, False)] * 100
+
     def _check_long_suffixes(self, monkeypatch, g, t, w, s, seed):
         """Per stratum: the MC stream ends where the reference's does.
 
         Returns the reference's and the MC sampler's ``random()`` calls,
         summed over the build's strata and its root.  The MC draws take the
         draw-by-draw loop on every stratum: the lanes make no ``random()``
-        call, so their count would bound nothing.
+        call, so their count would bound nothing.  The HT draws take the
+        lanes, so only their stream's end state is compared.
         """
         streams = []
 
@@ -754,7 +776,7 @@ class TestSamplerMatchesQuotientSampling:
             self._check(g, t, eo, st, seed, scalar=True)
             ref, mc, ht = streams
             assert mc.getstate() == ref.getstate() == ht.getstate()
-            assert mc.calls <= ref.calls == ht.calls
+            assert mc.calls <= ref.calls
             calls[0] += ref.calls
             calls[1] += mc.calls
         return calls
@@ -827,7 +849,7 @@ def _draw_both(st, seed):
     """
     loop = rngmod.stream(seed, "layer", st.layer, st.kind)
     lanes = rngmod.stream(seed, "layer", st.layer, st.kind)
-    successes, _ = diagram._draw_scalar(st, loop, False)
+    successes = diagram._draw_scalar(st, loop)
     assert diagram._draw_lanes(st, lanes) == successes
     assert lanes.getstate() == loop.getstate()
     return successes
@@ -903,8 +925,8 @@ class TestLanesMatchScalarDraws:
         assert seen["joined"] > 0
 
     def test_wide_mc_strata_draw_lanes(self, monkeypatch, karate_graph):
-        # an MC stratum with at least as many draws as suffix edges takes
-        # the lanes; HT strata and narrower MC strata take the loop
+        # every HT stratum, and an MC stratum with at least as many draws as
+        # suffix edges, takes the lanes; narrower MC strata take the loop
         taken = []
         for name in ("_draw_lanes", "_draw_scalar"):
             real = getattr(diagram, name)
@@ -921,7 +943,7 @@ class TestLanesMatchScalarDraws:
             for st in build.strata:
                 sample_group_stratum(st, seed=1, want_outcomes=want_outcomes)
             wide = [
-                not want_outcomes and st.draws >= len(st.edges) - st.layer
+                want_outcomes or st.draws >= len(st.edges) - st.layer
                 for _, st in taken
             ]
             assert [name == "_draw_lanes" for name, _ in taken] == wide
@@ -936,6 +958,11 @@ class TestLanesMatchScalarDraws:
             taken.clear()
             sample_group_stratum(_stratum(eo, 0, "deleted", [ROOT], 1.0, draws))
             assert [n for n, _ in taken] == [name]
+            taken.clear()
+            sample_group_stratum(
+                _stratum(eo, 0, "deleted", [ROOT], 1.0, draws), want_outcomes=True
+            )
+            assert [n for n, _ in taken] == ["_draw_lanes"]
 
 
 class _WordStream:
@@ -986,8 +1013,12 @@ class TestLaneThresholds:
             words += [d * 7919, 0xFFFFFFFF, *pair]  # the node pick, the edge
         expected = 2 * sum(k < cut for k in ks)
         st = self._edge_stratum(p, 2 * len(ks))
-        assert diagram._draw_scalar(st, _WordStream(words), False)[0] == expected
+        assert diagram._draw_scalar(st, _WordStream(words)) == expected
         assert diagram._draw_lanes(st, _WordStream(words)) == expected
+        # an HT draw's mask bit, verdict and edge factor all follow k < cut
+        outcomes = []
+        assert diagram._draw_lanes(st, _WordStream(words), outcomes) == expected
+        assert outcomes == self._ht_records(p, [k < cut for k in ks for _ in range(2)])
 
     @pytest.mark.parametrize("p", PROBS)
     def test_random_streams(self, p):
@@ -996,6 +1027,18 @@ class TestLaneThresholds:
         st = self._edge_stratum(p, 3000)
         for seed in range(3):
             _draw_both(st, seed)
+            rng = rngmod.stream(seed, "layer", st.layer, st.kind)
+            on = []
+            for _ in range(st.draws):
+                rng.random()  # the node pick
+                on.append(rng.random() < p)
+            ht = sample_group_stratum(st, seed=seed, want_outcomes=True)
+            assert ht.outcomes == self._ht_records(p, on)
+
+    @staticmethod
+    def _ht_records(p, on):
+        """The one-edge stratum's HT records for the draws' edge bits ``on``."""
+        return [((0, int(o)), p if o else 1.0 - p, o) for o in on]
 
 
 def _conditional_reliability(g, eo, t, decided):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from relnet import graph as graph_module
 from relnet.graph import (
     GraphFormatError,
     GraphInvariantError,
@@ -45,6 +46,16 @@ class TestLoadGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphFormatError, match="not connected"):
             parse_graph("0 1 0.5\n2 3 0.5")
+
+    def test_id_gap_rejected_before_the_graph_is_built(self, monkeypatch):
+        # a vertex id past the others leaves ids no edge names; the loader
+        # must not make one incidence list per id before it says so
+        def refuse(*args, **kwargs):
+            raise AssertionError("UncertainGraph constructed")
+
+        monkeypatch.setattr(graph_module, "UncertainGraph", refuse)
+        with pytest.raises(GraphFormatError, match="not connected"):
+            parse_graph("0 1 0.5\n1 50000 0.5")
 
     def test_parallel_edges_allowed(self):
         g = parse_graph("0 1 0.5\n0 1 0.5")
