@@ -1,11 +1,15 @@
 """Width-bounded frontier diagram: bounds computation plus sampling scheduler.
 
 Edges are decided one per layer.  A node summarizes every realization prefix
-that is still undecided by its state ``(comp, t)``: frontier component ids
-and per-component terminal flags.  Prefixes proven connected or
-disconnected leave the diagram immediately and feed two running masses,
-the lower bound ``p_c`` and the complement of the upper bound ``p_d``.  Only
-one layer is resident at a time: expanding a node releases it.
+that is still undecided by its state: one flat ``bytes`` object holding the
+frontier's component ids, one byte per frontier vertex, and then the
+per-component terminal flags.  A ``bytes`` object keeps its hash once
+computed, so a state is hashed once however often it is looked up; an order
+whose widest frontier holds more vertices than a byte has ids for packs the
+same layout into a ``tuple``, a rule fixed once per build.  Prefixes proven
+connected or disconnected leave the diagram immediately and feed two running
+masses, the lower bound ``p_c`` and the complement of the upper bound
+``p_d``.  Only one layer is resident at a time: expanding a node releases it.
 
 The edge order is the build's one plan (:class:`EdgeOrder`).  One sweep
 over its layers gives each layer's frontier and step, and the points where
@@ -14,10 +18,11 @@ state and on the layer's step: the positions and terminal flags of the
 decided edge's endpoints, where each next-frontier vertex comes from, and
 whether every terminal is reached.  Along a regular order such as a grid
 strip's, one step comes back once a column, so the layers of a recurring
-step share one table of transitions keyed by the state, and each looks its
-nodes up there before computing any.  A table lives from its step's first
-occurrence to its last, which reads it and adds nothing, so each
-transition is computed once per step and no table outlives the build.
+step share one table of transitions keyed by the state, whose values are
+the children's states, and each looks its nodes up there before computing
+any.  A table lives from its step's first occurrence to its last, which
+reads it and adds nothing, so each transition is computed once per step and
+no table outlives the build.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
@@ -89,7 +94,12 @@ DEFAULT_WIDTH_CAP = 1_000_000
 
 
 class WidthCapExceeded(RuntimeError):
-    """Unbounded construction grew past the configured hard cap."""
+    """A layer grew past the configured hard cap.
+
+    Every build checks each expanded layer before any deletion, whatever its
+    width, so a bounded build with a cap below twice its width can raise it
+    too.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +120,14 @@ class EdgeOrder:
     to both decided and undecided edges just before layer l is processed.
 
     ``steps[l]`` is all that :func:`_apply_both` reads of the step deciding
-    layer l: (u_pos, v_pos, u_tinit, v_tinit, next_src, closing), the
+    layer l: (u_pos, v_pos, u_tinit, v_tinit, next_src, closing, width), the
     positions of the edge's endpoints in ``frontiers[l]`` (-1 if entering),
     the terminal flag of each endpoint's singleton component on entry, per
     vertex of ``frontiers[l + 1]`` its position in ``frontiers[l]``, or -2
-    (u) / -3 (v), and whether every terminal has been reached once layer l
-    is decided.  Two layers with equal steps, which share one tuple, give
-    every node the same transitions, whatever their edge or undecided edges.
+    (u) / -3 (v), whether every terminal has been reached once layer l is
+    decided, and the width of ``frontiers[l]``, where a node state's flags
+    begin.  Two layers with equal steps, which share one tuple, give every
+    node the same transitions, whatever their edge or undecided edges.
 
     ``checks`` are the points where an MC draw over a suffix is checked, as
     (pos, live, rest) in position order: one every ``CHECK_SPACING`` times
@@ -201,7 +212,7 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
         frontiers.append(tuple(frontier))
         src = tuple([-2 if x == u else -3 if x == v else index[x] for x in frontier])
         step = (index.get(u, -1), index.get(v, -1), u in tset, v in tset, src,
-                pos >= all_reached)
+                pos >= all_reached, len(index))
         steps.append(shared(step, step))
 
     checks = []
@@ -233,33 +244,40 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
 class Node:
     """Frontier summary of a set of undecided realization prefixes.
 
-    ``comp[i]`` is the component id of the i-th frontier vertex, ids
-    canonical by first occurrence along the frontier.  ``t[c]`` is True
-    when component c holds a terminal.
+    ``state`` is one flat sequence over the layer's frontier of width f:
+    ``state[i]`` for i < f is the component id of the i-th frontier vertex,
+    ids canonical by first occurrence along the frontier, and
+    ``state[f + c]`` is 1 when component c holds a terminal, else 0.  It is
+    ``bytes``, which keeps its hash once computed, unless the order's widest
+    frontier has more than ``_BYTE_FRONTIER`` vertices, whose ids a byte
+    cannot hold; then the build packs the same layout into a ``tuple``.
+    The state is the node's merge key and its transition tables' key.
     """
 
-    __slots__ = ("p", "comp", "t")
+    __slots__ = ("p", "state")
 
-    def __init__(
-        self, p: Probability, comp: tuple[int, ...], t: tuple[bool, ...]
-    ) -> None:
+    def __init__(self, p: Probability, state: bytes | tuple[int, ...]) -> None:
         self.p = p
-        self.comp = comp
-        self.t = t
+        self.state = state
 
     def __repr__(self) -> str:  # diagnostic only
-        return f"Node(p={self.p!r}, comp={self.comp}, t={self.t})"
+        return f"Node(p={self.p!r}, state={self.state!r})"
+
+
+# the widest frontier whose states pack into bytes: every id is below it
+_BYTE_FRONTIER = 256
 
 
 ONE_SINK = "one"
 ZERO_SINK = "zero"
 
 
-def _finish(src, t, merged_from, merged_to):
+def _finish(src, t, merged_from, merged_to, pack):
     """Renumber surviving components over the new frontier.
 
     Returns ZERO_SINK when a terminal-bearing component has no member left,
-    else the child state (comp ids, flags), ids canonical by first occurrence.
+    else the child state, its ids canonical by first occurrence followed by
+    its flags, packed by ``pack`` (``bytes`` or ``tuple``).
     """
     remap = [-1] * len(t)
     cc: list[int] = []
@@ -278,44 +296,48 @@ def _finish(src, t, merged_from, merged_to):
     for c, tc in enumerate(t):
         if tc and remap[c] < 0 and c != merged_from:
             return ZERO_SINK
-    return (tuple(cc), tuple(ct))
+    cc += ct
+    return pack(cc)
 
 
-def _apply_both(comp: tuple[int, ...], t: tuple[bool, ...], step: tuple):
-    """Both transitions of a node ``(comp, t)`` across one edge decision.
+def _apply_both(state: bytes | tuple[int, ...], step: tuple):
+    """Both transitions of a node's ``state`` across one edge decision.
 
-    ``step`` is the layer's, from :attr:`EdgeOrder.steps`.  Returns (off,
+    ``step`` is the layer's, from :attr:`EdgeOrder.steps`; its last entry,
+    the frontier's width, is where the state's flags begin.  Returns (off,
     on) where each entry is ONE_SINK, ZERO_SINK, or the child state produced
-    by :func:`_finish`.  Joining two flagged components is ONE_SINK once every
-    terminal is reached and no other component is flagged, since a reached
-    terminal stranded off the frontier was ZERO_SINK already.
+    by :func:`_finish`, packed like ``state``.  Joining two flagged
+    components is ONE_SINK once every terminal is reached and no other
+    component is flagged, since a reached terminal stranded off the
+    frontier was ZERO_SINK already.
     """
-    u_pos, v_pos, u_tinit, v_tinit, next_src, closing = step
-    baset = list(t)
+    u_pos, v_pos, u_tinit, v_tinit, next_src, closing, width = step
+    baset = list(state[width:])
 
     if u_pos >= 0:
-        cu = comp[u_pos]
+        cu = state[u_pos]
     else:
         cu = len(baset)
         baset.append(u_tinit)
     if v_pos >= 0:
-        cv = comp[v_pos]
+        cv = state[v_pos]
     else:
         cv = len(baset)
         baset.append(v_tinit)
 
     src = [
-        comp[s] if s >= 0 else (cu if s == -2 else cv)
+        state[s] if s >= 0 else (cu if s == -2 else cv)
         for s in next_src
     ]
-    off = _finish(src, baset, -1, -1)
+    pack = state.__class__
+    off = _finish(src, baset, -1, -1, pack)
     if cu == cv:
         # a cycle-closing edge changes nothing structural either way
         return off, off
     if closing and baset[cu] and baset[cv] and baset.count(True) == 2:
         return off, ONE_SINK
     baset[cu] = baset[cu] or baset[cv]
-    return off, _finish(src, baset, cv, cu)
+    return off, _finish(src, baset, cv, cu, pack)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +374,7 @@ def stratum_quotient(
     this graph: it also draws the internal edges, which join nothing.
     """
     unreached = _unreached(eo, layer)
-    joins, targets = _node_pass(eo.frontiers[layer], node.comp, node.t, unreached)
+    joins, targets = _node_pass(eo.frontiers[layer], node.state, unreached)
     it = iter(joins)
     roots = dict(zip(it, it))
     # components in frontier order, then the unreached terminals, then the
@@ -379,14 +401,13 @@ def _unreached(eo: EdgeOrder, layer: int) -> tuple[int, ...]:
 
 def _node_pass(
     frontier: Sequence[int],
-    comp: Sequence[int],
-    t: Sequence[bool],
+    state: Sequence[int],
     unreached: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A node's union-find start over vertex ids, as (joins, targets).
 
-    ``frontier`` is the layer's frontier and ``comp`` and ``t`` are the
-    node's component ids and terminal flags.  Each frontier vertex starts
+    ``frontier`` is the layer's frontier and ``state`` the node's
+    (:class:`Node`), component ids and then flags.  Each frontier vertex starts
     under the first frontier vertex of its component and every other vertex
     under itself, so every parent is a root: ``joins`` is (x1, r1, x2, r2,
     ...), the frontier vertices that are not first, each followed by its
@@ -396,11 +417,11 @@ def _node_pass(
     """
     first: dict[int, int] = {}
     joins: list[int] = []
-    for x, c in zip(frontier, comp):
+    for x, c in zip(frontier, state):  # the ids: zip stops at the flags
         root = first.setdefault(c, x)
         if root != x:
             joins += (x, root)
-    targets = tuple([first[c] for c, tc in enumerate(t) if tc])
+    targets = tuple([first[c] for c, tc in enumerate(state[len(frontier):]) if tc])
     return tuple(joins), targets + unreached
 
 
@@ -412,7 +433,7 @@ class Stratum:
     stream; ``draws`` is its share of the budget and ``mass`` its absolute
     probability mass.  The nodes are kept as columns, no :class:`Node`
     object: ``ps`` their float masses, ``cum`` the running sums of ``ps``,
-    ``comps`` and ``ts`` their component ids and terminal flags.
+    ``states`` their states (:class:`Node`), shared with the build.
 
     ``edges`` is the order's edge table, ``n`` the vertex count,
     ``frontier`` the layer's frontier, ``unreached`` the terminals the order
@@ -427,7 +448,7 @@ class Stratum:
     through ``shared``.
     """
 
-    __slots__ = ("layer", "kind", "draws", "mass", "ps", "cum", "comps", "ts",
+    __slots__ = ("layer", "kind", "draws", "mass", "ps", "cum", "states",
                  "edges", "n", "frontier", "unreached", "plan", "starts")
 
     def __init__(
@@ -436,8 +457,7 @@ class Stratum:
         layer: int,
         kind: str,
         ps: tuple[float, ...],
-        comps: tuple[tuple[int, ...], ...],
-        ts: tuple[tuple[bool, ...], ...],
+        states: tuple[bytes | tuple[int, ...], ...],
         mass: float,
         draws: int,
     ) -> None:
@@ -447,8 +467,7 @@ class Stratum:
         self.mass = mass
         self.ps = ps
         self.cum = tuple(accumulate(ps))
-        self.comps = comps
-        self.ts = ts
+        self.states = states
         self.edges = eo.edges
         self.n = len(eo.first)
         self.frontier = eo.frontiers[layer]
@@ -525,7 +544,7 @@ def _start(st: Stratum, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     joins_of, targets_of, shared = st.starts
     joins = joins_of[i]
     if joins is None:
-        joins, targets = _node_pass(st.frontier, st.comps[i], st.ts[i], st.unreached)
+        joins, targets = _node_pass(st.frontier, st.states[i], st.unreached)
         joins_of[i] = joins
         targets_of[i] = targets = shared.setdefault(targets, targets)
         return joins, targets
@@ -768,7 +787,7 @@ def expand_layer(
     """Decide one layer's edge for every node of the layer.
 
     Children that reach a sink add their mass to ``p_c`` or ``p_d``.  The
-    rest merge by state ``(comp, t)``: such children transition to the same
+    rest merge by state (:class:`Node`): such children transition to the same
     sinks under every continuation, so their masses add without changing
     the bounds trajectory.  Returns the next layer, in creation order, and
     its total mass.
@@ -784,19 +803,19 @@ def expand_layer(
     pe_off = 1 - pe
     known = {}.get if table is None else table.get
     add_c, add_d = p_c.add, p_d.add
-    nxt: dict[tuple, Node] = {}
+    nxt: dict[bytes | tuple, Node] = {}
     nxt_get = nxt.get
     resident_mass = 0.0
     nodes.reverse()
     pop = nodes.pop
     while nodes:
         nd = pop()
-        comp, t = key = nd.comp, nd.t
-        both = known(key)
+        state = nd.state
+        both = known(state)
         if both is None:
-            both = _apply_both(comp, t, step)
+            both = _apply_both(state, step)
             if record is not None:
-                record[key] = both
+                record[state] = both
         off, on = both
         np_ = nd.p
         # the off child first, as the sums' bits depend on the order of their
@@ -807,7 +826,7 @@ def expand_layer(
         else:
             kept = nxt_get(off)
             if kept is None:
-                nxt[off] = Node(mass, *off)
+                nxt[off] = Node(mass, off)
             else:
                 kept.p = kept.p + mass
             resident_mass += mass
@@ -819,7 +838,7 @@ def expand_layer(
         else:
             kept = nxt_get(on)
             if kept is None:
-                nxt[on] = Node(mass, *on)
+                nxt[on] = Node(mass, on)
             else:
                 kept.p = kept.p + mass
             resident_mass += mass
@@ -891,9 +910,10 @@ def _build(
     mass_sum, one = (FractionSum, Fraction(1)) if exact else (KahanSum, 1.0)
     p_c = mass_sum()
     p_d = mass_sum()
-    layer_nodes: list[Node] = [Node(one, (), ())]
+    # one packing per build, fixed by the order's widest frontier
+    root = b"" if eo.max_frontier <= _BYTE_FRONTIER else ()
+    layer_nodes: list[Node] = [Node(one, root)]
     strata: list[Stratum] = []
-    shared_t = {}.setdefault
     rows: list[dict] = []
     unsampled_mass = KahanSum()
     drawn = 0
@@ -918,8 +938,7 @@ def _build(
         """Schedule a pooled node group as one stratum; returns its draws.
 
         The group gets its mass's share of the reduced budget, never past
-        the request; a group with no draws leaves its mass unsampled.  Equal
-        terminal flags, which most nodes of a layer share, are kept once.
+        the request; a group with no draws leaves its mass unsampled.
         """
         nonlocal drawn
         draws = min(int(s_prime * mass), s - drawn)
@@ -930,8 +949,7 @@ def _build(
         strata.append(Stratum(
             eo, layer, kind,
             tuple(float(nd.p) for nd in nodes),
-            tuple(nd.comp for nd in nodes),
-            tuple(shared_t(nd.t, nd.t) for nd in nodes),
+            tuple(nd.state for nd in nodes),
             mass, draws,
         ))
         drawn += draws

@@ -8,9 +8,10 @@ requested sample count be cut ahead of time without losing accuracy.
 :func:`combine_strata` is the one place where the bounds, the per-stratum
 draws and any unsampled mass become an estimate and its variance.
 
-Count reductions are computed in exact rational arithmetic over the decimal
-reading of the bounds, so floor thresholds land exactly (10000 samples with
-p_c = p_d = 0.1 reduce to 6400, not 6399).
+Count reductions are the floors that exact rational arithmetic over the
+decimal reading of the bounds gives, so floor thresholds land exactly (10000
+samples with p_c = p_d = 0.1 reduce to 6400, not 6399); floats decide every
+floor that is not within a guard of an integer.
 """
 
 from __future__ import annotations
@@ -130,27 +131,37 @@ def ht_variance(
 # Sample-count reduction
 # ---------------------------------------------------------------------------
 
+def _reduction_factor(pc, pd):
+    """The closed form's s'/s by case on the bound masses, floats or Fractions."""
+    if pc == 0:
+        return 1 - pd
+    if pd == 0:
+        return 1 - pc
+    if pc == pd:
+        return 1 - 4 * pc * (1 - pc)
+    if pc < pd:
+        return 1 - 4 * pc * (1 - pd)
+    return 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
+
+
 def reduced_sample_count(s: int, bounds: Bounds) -> int:
     """Samples needed to match the accuracy of s bound-free draws.
 
     Closed form by case on the bound masses; the result never exceeds s and
-    shrinks as either bound grows.
+    shrinks as either bound grows.  It is the floor of s times the factor
+    over the bounds' decimal readings.  The factor is evaluated in floats
+    first, whose error is far below ``1e-9 * max(1, s)`` after scaling by s,
+    so a product farther than that from an integer has the exact floor; only
+    one closer to an integer takes the rational path.
     """
     if s < 0:
         raise EstimatorError("sample count must be nonnegative")
-    pc = to_fraction(bounds.p_c)
-    pd = to_fraction(bounds.p_d)
-    if pc == 0:
-        factor = 1 - pd
-    elif pd == 0:
-        factor = 1 - pc
-    elif pc == pd:
-        factor = 1 - 4 * pc * (1 - pc)
-    elif pc < pd:
-        factor = 1 - 4 * pc * (1 - pd)
-    else:
-        factor = 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
-    reduced = math.floor(s * factor)
+    x = s * _reduction_factor(float(bounds.p_c), float(bounds.p_d))
+    reduced = math.floor(x)
+    guard = 1e-9 * max(1, s)
+    if min(x - reduced, reduced + 1 - x) <= guard:
+        factor = _reduction_factor(to_fraction(bounds.p_c), to_fraction(bounds.p_d))
+        reduced = math.floor(s * factor)
     return max(0, min(s, reduced))
 
 

@@ -49,6 +49,7 @@ from relnet.generate import (
     tree_rich_graph,
 )
 from relnet.numerics import KahanSum
+from relnet.pipeline import estimate_pipeline
 from conftest import naive_reliability, small_case
 
 
@@ -146,6 +147,7 @@ def _edge_order_by_definition(g, t, order):
             v in t.vertices,
             tuple(-2 if x == u else -3 if x == v else old.index(x) for x in new),
             not unreached(layer + 1),
+            len(old),
         ))
     # a check CHECK_SPACING * (k + frontier width) edges after the previous
     # one, while the stretch after it is as long; then the end of the order
@@ -168,7 +170,12 @@ def _edge_order_by_definition(g, t, order):
     )
 
 
-ROOT = Node(1.0, (), ())
+ROOT = Node(1.0, b"")
+
+
+def _state(comp, t):
+    """A node state: component ids, then per component its terminal flag."""
+    return bytes(comp) + bytes(t)
 
 
 def _stratum(eo, layer, kind, nodes, mass, draws):
@@ -176,25 +183,24 @@ def _stratum(eo, layer, kind, nodes, mass, draws):
     return Stratum(
         eo, layer, kind,
         tuple(float(nd.p) for nd in nodes),
-        tuple(nd.comp for nd in nodes),
-        tuple(nd.t for nd in nodes),
+        tuple(nd.state for nd in nodes),
         mass, draws,
     )
 
 
 def _nodes(st):
     """The nodes of a stratum record, with their float masses."""
-    return [Node(p, comp, tt) for p, comp, tt in zip(st.ps, st.comps, st.ts)]
+    return [Node(p, state) for p, state in zip(st.ps, st.states)]
 
 
 def _both(g, t, layer, node):
     """(off, on) results of the real transition at one layer."""
-    return _apply_both(node.comp, node.t, order_edges(g, t).steps[layer])
+    return _apply_both(node.state, order_edges(g, t).steps[layer])
 
 
 def _child(res):
     """A node for a non-sink transition result (its mass is not tracked)."""
-    return Node(1.0, *res)
+    return Node(1.0, res)
 
 
 def _expand(g, t, layer, nodes):
@@ -239,8 +245,8 @@ class TestTransitions:
         g = parse_graph("0 1 0.5\n0 2 0.5\n1 2 0.5")
         t = TerminalSet.of([0, 1, 2])
         split, both_in = _both(g, t, 0, ROOT)
-        assert both_in == ((0, 0), (True,))
-        assert split == ((0, 1), (True, True))
+        assert both_in == _state((0, 0), (True,))
+        assert split == _state((0, 1), (True, True))
 
     def test_not_connected_when_no_terminals_gathered(self):
         g = path_graph(3)
@@ -254,7 +260,10 @@ class TestTransitions:
             eo = order_edges(g, t)
             nodes = [ROOT]
             for layer in range(g.m):
-                assert all(len(nd.comp) == len(eo.frontiers[layer]) for nd in nodes)
+                # the ids cover the frontier, one flag follows per component
+                width = len(eo.frontiers[layer])
+                assert all(len(nd.state) == width + len(set(nd.state[:width]))
+                           for nd in nodes)
                 nodes, _, _ = _expand(g, t, layer, nodes)
             assert nodes == []
 
@@ -325,28 +334,29 @@ class TestMerge:
         return _expand(parse_graph(self.GRID), TerminalSet.of(self.TERMS), 2, list(nodes))
 
     def test_equal_sign_patterns_merge(self):
-        a = Node(0.25, (0, 1), (True, False))
-        b = Node(0.5, (0, 1), (True, False))
+        a = Node(0.25, _state((0, 1), (True, False)))
+        b = Node(0.5, _state((0, 1), (True, False)))
         nxt, p_c, p_d = self._layer(a, b)
         assert p_c == p_d == 0.0
-        assert [nd.comp for nd in nxt] == [(0, 1, 2), (0, 0, 1)]
+        assert [nd.state for nd in nxt] == [
+            _state((0, 1, 2), (True, False, False)), _state((0, 0, 1), (True, False))
+        ]
         assert [nd.p for nd in nxt] == pytest.approx([0.375, 0.375])
-        assert [nd.t for nd in nxt] == [(True, False, False), (True, False)]
 
     def test_different_sign_patterns_stay_apart(self):
-        a = Node(0.25, (0, 1), (True, False))
-        b = Node(0.5, (0, 1), (False, True))
+        a = Node(0.25, _state((0, 1), (True, False)))
+        b = Node(0.5, _state((0, 1), (False, True)))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
     def test_different_component_patterns_stay_apart(self):
-        a = Node(0.25, (0, 0), (True,))
-        b = Node(0.5, (0, 1), (True, True))
+        a = Node(0.25, _state((0, 0), (True,)))
+        b = Node(0.5, _state((0, 1), (True, True)))
         nxt, _, _ = self._layer(a, b)
         assert len(nxt) == 4
 
     def test_layer_is_transitions_grouped_by_pattern(self):
-        # expand_layer keeps exactly one node per (comp, t) state of the
+        # expand_layer keeps exactly one node per state of the
         # transitions' children, carrying their summed mass
         for seed in range(15):
             g, t = small_case(seed, max_edges=10)
@@ -361,7 +371,7 @@ class TestMerge:
                         if res is not ONE_SINK and res is not ZERO_SINK:
                             expected[res] = expected.get(res, 0.0) + mass
                 nodes, _, _ = _expand(g, t, layer, nodes)
-                got = {(nd.comp, nd.t): nd.p for nd in nodes}
+                got = {nd.state: nd.p for nd in nodes}
                 assert got.keys() == expected.keys()
                 for key, mass in expected.items():
                     assert got[key] == pytest.approx(mass, abs=1e-15)
@@ -382,12 +392,12 @@ class TestTransitionTables:
 
         def expand(table, record):
             p_c, p_d = KahanSum(), KahanSum()
-            fresh = [Node(nd.p, nd.comp, nd.t) for nd in nodes]
+            fresh = [Node(nd.p, nd.state) for nd in nodes]
             nxt, mass = expand_layer(
                 fresh, sig, g.probs[eo.order[layer]], p_c, p_d, table, record
             )
             assert not fresh  # every parent is released
-            return ([(nd.p.hex(), nd.comp, nd.t) for nd in nxt], mass.hex(),
+            return ([(nd.p.hex(), nd.state) for nd in nxt], mass.hex(),
                     p_c.value.hex(), p_d.value.hex())
 
         table: dict = {}
@@ -430,9 +440,9 @@ class TestTransitionTables:
         calls = Counter()
         real_apply = diagram._apply_both
 
-        def apply_both(comp, tt, sig):
-            calls[sig, comp, tt] += 1
-            return real_apply(comp, tt, sig)
+        def apply_both(state, sig):
+            calls[sig, state] += 1
+            return real_apply(state, sig)
 
         monkeypatch.setattr(diagram, "_apply_both", apply_both)
         _build.cache_clear()
@@ -486,20 +496,94 @@ class TestTransitionTables:
         assert abs(len(gc.get_objects()) - before) <= 20
 
 
+def _complete_bipartite_2(n, p0, p1):
+    """K_{2,n}: hubs 0 and 1, spokes from 0 at ``p0`` and from 1 at ``p1``."""
+    spokes = range(2, n + 2)
+    return UncertainGraph(
+        n=n + 2,
+        edges=tuple([(0, x) for x in spokes] + [(1, x) for x in spokes]),
+        probs=(p0,) * n + (p1,) * n,
+    )
+
+
+def _build_fields(build):
+    """Every field of a build, each stratum's slots included, states as tuples."""
+    strata = [
+        {name: getattr(st, name) for name in Stratum.__slots__ if name != "states"}
+        | {"states": [tuple(state) for state in st.states]}
+        for st in build.strata
+    ]
+    return {
+        name: getattr(build, name) for name in build.__dataclass_fields__
+    } | {"strata": strata}
+
+
+class TestStatePacking:
+    """A state is bytes while every id fits one byte, else the same tuple."""
+
+    def test_wide_frontier_packs_tuples(self):
+        # BFS from hub 0 puts all 300 spokes on the frontier, whose ids a
+        # byte cannot hold; the report is the one the nested-tuple state gave
+        g, t = _complete_bipartite_2(300, 0.001, 0.5), TerminalSet.of([0, 1])
+        assert order_edges(g, t).max_frontier > diagram._BYTE_FRONTIER
+        _build.cache_clear()
+        res = estimate_pipeline(g, t, s=2000, w=4, seed=0, use_preprocess=False)
+        build = _build(g, t, 4, 2000, "double", diagram.DEFAULT_WIDTH_CAP)
+        _build.cache_clear()
+        assert build.strata and all(
+            type(state) is tuple for st in build.strata for state in st.states
+        )
+        assert res.estimate == 0.13056363002986734
+        assert res.p_c == 0.0014828969612734743
+        assert 1.0 - res.p_d == 0.25781007088262686
+        r = 1 - (1 - 0.001 * 0.5) ** 300
+        assert res.p_c <= r <= 1.0 - res.p_d
+
+    def test_tuple_packing_builds_what_bytes_packing_builds(
+        self, monkeypatch, karate_graph
+    ):
+        cases = [(*small_case(seed), w, 200) for seed in range(60) for w in (1, 2, 4, 16)]
+        cases.append((karate_graph, random_terminals(karate_graph, 5, seed=7), 100, 10000))
+
+        def builds():
+            out = []
+            for g, t, w, s in cases:
+                _build.cache_clear()
+                build = _build(g, t, w, s, "double", None)
+                # a sampling pass makes the start states, kept in the records
+                draws = [sample_group_stratum(st, seed=1).successes for st in build.strata]
+                out.append((build, _build_fields(build), draws))
+            _build.cache_clear()
+            return out
+
+        packed = builds()
+        monkeypatch.setattr(diagram, "_BYTE_FRONTIER", -1)
+        tupled = builds()
+        types = Counter()
+        for (b_build, b_fields, b_draws), (t_build, t_fields, t_draws) in zip(packed, tupled):
+            assert t_fields == b_fields
+            assert t_draws == b_draws
+            for build, kind in ((b_build, bytes), (t_build, tuple)):
+                for st in build.strata:
+                    assert all(type(state) is kind for state in st.states)
+                    types[kind] += len(st.states)
+        assert types[bytes] == types[tuple] > 1000
+
+
 class TestSplitLayer:
     def test_keeps_the_heaviest(self):
-        nodes = [Node(p, (0,), (True,)) for p in (0.1, 0.5, 0.3)]
+        nodes = [Node(p, _state((0,), (True,))) for p in (0.1, 0.5, 0.3)]
         survivors, deleted = split_layer(nodes, 2)
         assert [nd.p for nd in survivors] == [0.5, 0.3]
         assert [nd.p for nd in deleted] == [0.1]
 
     def test_ties_keep_input_order(self):
-        nodes = [Node(0.5, (0,), (True,)) for _ in range(4)]
+        nodes = [Node(0.5, _state((0,), (True,))) for _ in range(4)]
         survivors, deleted = split_layer(nodes, 2)
         assert survivors == nodes[:2] and deleted == nodes[2:]
 
     def test_noop_when_under_width(self):
-        nodes = [Node(0.5, (0,), (True,))]
+        nodes = [Node(0.5, _state((0,), (True,)))]
         survivors, deleted = split_layer(nodes, 5)
         assert survivors == nodes and deleted == []
 
@@ -624,7 +708,7 @@ def _suffix_graph(g, eo, layer):
 
 def _crossing_bits(eo, layer, node):
     """Suffix mask bits of the edges not inside one of the node's components."""
-    comp = dict(zip(eo.frontiers[layer], node.comp))
+    comp = dict(zip(eo.frontiers[layer], node.state))  # the ids, not the flags
     return [
         bit for bit, (a, b, _, _) in enumerate(eo.edges[layer:])
         if not (a in comp and b in comp and comp[a] == comp[b])

@@ -1,4 +1,7 @@
+import math
+import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -147,6 +150,46 @@ class TestReducedSampleCount:
         assert rep.s == 100 and rep.s_reduced == 40
         with pytest.raises(EstimatorError):
             report(10, 11)
+
+    def test_floats_first_equals_the_rational_path(self):
+        # the closed form over the bounds' decimal readings, all in Fractions
+        def factor(pc, pd):
+            pc, pd = Fraction(str(pc)), Fraction(str(pd))
+            if pc == 0:
+                return 1 - pd
+            if pd == 0:
+                return 1 - pc
+            if pc == pd:
+                return 1 - 4 * pc * (1 - pc)
+            if pc < pd:
+                return 1 - 4 * pc * (1 - pd)
+            return 1 - min(4 * pc * (1 - pc), 4 * (pc * (1 - pd) + (pd - pc)))
+
+        rng = random.Random(20)
+        pairs = [(0.0, 0.0), (0.0, 0.5), (0.1, 0.1), (0.1, 0.2), (0.3, 0.1)]
+        pairs += [(i / 100, j / 100) for i in range(101) for j in range(101 - i)]
+        for _ in range(2000):
+            x = rng.random()
+            pairs += [(0.0, x), (x, 0.0), (x / 2, x / 2)]
+        for _ in range(5000):
+            pc = rng.random() * rng.choice((1.0, 1e-3, 1e-8))
+            pairs.append((pc, rng.random() * (1.0 - pc)))
+        for _ in range(2000):
+            # bounds on a 1/s grid, so that many products land on integers
+            q = rng.choice((20, 100, 12345))
+            i = rng.randrange(q + 1)
+            pairs.append((i / q, rng.randrange(q + 1 - i) / q))
+        sizes = (1, 20, 100, 10**4, 12345, 10**6)
+        assert len(pairs) * len(sizes) >= 10**5
+        on_integers = 0
+        for pc, pd in pairs:
+            f = factor(pc, pd)
+            bounds = Bounds(pc, pd)
+            for s in sizes:
+                expected = max(0, min(s, math.floor(s * f)))
+                assert reduced_sample_count(s, bounds) == expected, (pc, pd, s)
+                on_integers += (s * f).denominator == 1
+        assert on_integers > 10**4
 
 
 class TestMcEstimate:
