@@ -41,9 +41,11 @@ class UncertainGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
     probs: tuple[float, ...]
-    # Exact values of the probabilities (a text graph's literals, a reduced
-    # graph's exact products); None reads the floats, see prob_values.
-    exact_probs: Optional[tuple[Fraction, ...]] = None
+    # Exact values of the probabilities, one entry per edge: a Fraction (a
+    # text graph's literal, a reduced edge's exact product) that rounds to
+    # the edge's float, or None, which reads the float's shortest repr; a
+    # tuple of None entries is stored as None.  See prob_values.
+    exact_probs: Optional[tuple[Optional[Fraction], ...]] = None
     _incident: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -52,8 +54,23 @@ class UncertainGraph:
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.probs):
             raise GraphInvariantError("edge and probability counts differ")
-        if self.exact_probs is not None and len(self.exact_probs) != len(self.edges):
-            raise GraphInvariantError("edge and exact probability counts differ")
+        exact = self.exact_probs
+        if exact is not None:
+            if len(exact) != len(self.edges):
+                raise GraphInvariantError("edge and exact probability counts differ")
+            # a float entry would equal, and hash like, the Fraction of its
+            # binary value, so only Fractions that round to the float count
+            known = [i for i, x in enumerate(exact) if x is not None]
+            for i in known:
+                x = exact[i]
+                if not isinstance(x, Fraction) or float(x) != self.probs[i]:
+                    raise GraphInvariantError(
+                        f"edge {i} exact probability {x!r} does not round to "
+                        f"its probability {self.probs[i]!r}"
+                    )
+            if not known:
+                # one graph, one representation: equal graphs are equal keys
+                object.__setattr__(self, "exact_probs", None)
         inc: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -84,14 +101,17 @@ class UncertainGraph:
     def prob_values(self, exact: bool = False) -> Sequence[Probability]:
         """The float probabilities, or with ``exact`` the exact ones.
 
-        Without ``exact_probs``, the exact values are read from the floats'
-        shortest reprs on every call.
+        An edge without an exact entry has its exact value read from its
+        float's shortest repr, on every call; see :meth:`exact_prob`.
         """
         if not exact:
             return self.probs
-        if self.exact_probs is not None:
-            return self.exact_probs
-        return tuple(to_fraction(p) for p in self.probs)
+        return tuple(map(self.exact_prob, range(self.m)))
+
+    def exact_prob(self, j: int) -> Fraction:
+        """The exact probability of edge ``j``."""
+        x = None if self.exact_probs is None else self.exact_probs[j]
+        return to_fraction(self.probs[j]) if x is None else x
 
     def is_connected(self) -> bool:
         if self.n <= 1:

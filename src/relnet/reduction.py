@@ -9,9 +9,10 @@ the k-terminal reliability:
              kept bridges' probabilities);
 * transform: collapse series chains and parallel edges.
 
-Both multiply exact values (``prob_values(True)``) in every precision; a
-part graph carries its exact values, and each float they compute is an
-exact value rounded.
+Both multiply exact values in every precision, reading one only where a
+rule combines edges (``UncertainGraph.exact_prob``).  A part graph carries
+the exact entries of the edges it keeps, and each float a rule computes is
+its exact value rounded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 from .graph import TerminalSet, UncertainGraph, _find, terminals_connected
 
@@ -120,7 +122,7 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     kept bridge must be up, so its exact probability joins the bridge factor
     and its endpoints become terminals of their components.  A component
     with at least two terminals is a part: vertices renumbered in ascending
-    order, edges in input order with their floats and exact values.  A
+    order, edges in input order with their floats and exact entries.  A
     component with fewer is connected with probability 1.
 
     Parts come ordered by smallest original vertex, then stably by
@@ -180,19 +182,19 @@ def decompose(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
         if j not in index.bridges and comp[u] in part_edges:
             part_edges[comp[u]].append(j)
 
-    exact = g.prob_values(True)
+    exact = g.exact_probs
     parts: list[tuple[UncertainGraph, TerminalSet]] = []
     for c, js in part_edges.items():
         part_graph = UncertainGraph(
             n=len(members[c]),
             edges=tuple((local[g.edges[j][0]], local[g.edges[j][1]]) for j in js),
             probs=tuple(g.probs[j] for j in js),
-            exact_probs=tuple(exact[j] for j in js),
+            exact_probs=None if exact is None else tuple(exact[j] for j in js),
         )
         parts.append((part_graph, TerminalSet.of(local[t] for t in part_terms[c])))
     parts.sort(key=lambda pt: -pt[0].m)  # dominant cost first
     return Decomposition(
-        bridge_factor_exact=math.prod((exact[j] for j in kept), start=Fraction(1)),
+        bridge_factor_exact=math.prod(map(g.exact_prob, kept), start=Fraction(1)),
         parts=tuple(parts),
     )
 
@@ -207,16 +209,33 @@ def transform(
     """Collapse series chains and parallel edges to a fixpoint.
 
     Series: a non-terminal degree-2 vertex contracts, its two edges' exact
-    probabilities multiplying, unless the replacement edge would duplicate an
-    existing one (the parallel rule then merges them on the next sweep).
+    probabilities multiplying; the replacement edge may duplicate an
+    existing one, and the parallel rule merges the two on the next sweep.
     Parallel: duplicate edges merge with complement-product probability.
     Every rule application removes at least one edge, so the loop terminates.
+    An edge no rule touches keeps its float and exact entry; a combined
+    edge gets its exact value and that value's float.
     """
+    out, terms, _merged = _series_parallel(g, terminals)
+    return out, terms
+
+
+def _series_parallel(
+    g: UncertainGraph, terminals: TerminalSet
+) -> tuple[UncertainGraph, TerminalSet, bool]:
+    """:func:`transform`, and whether it merged a parallel pair."""
     terminals.validate(g)
     edges = list(g.edges)
-    probs: list[Fraction] = list(g.prob_values(True))  # type: ignore[arg-type]
+    probs = list(g.probs)
+    exact: list[Optional[Fraction]] = list(g.exact_probs or (None,) * g.m)
     terms = set(terminals.vertices)
     alive = [True] * len(edges)
+    merged = False
+
+    def value(j: int) -> Fraction:
+        # only an input edge no rule has touched lacks an entry
+        x = exact[j]
+        return g.exact_prob(j) if x is None else x
 
     changed = True
     while changed:
@@ -232,9 +251,11 @@ def transform(
             if prev is None:
                 by_pair[key] = j
             else:
-                probs[prev] = 1 - (1 - probs[prev]) * (1 - probs[j])
+                x = 1 - (1 - value(prev)) * (1 - value(j))
+                probs[prev] = float(x)
+                exact[prev] = x
                 alive[j] = False
-                changed = True
+                changed = merged = True
 
         # series contraction; a duplicate (a, b) edge may appear here and is
         # merged by the parallel rule on the next sweep
@@ -256,29 +277,30 @@ def transform(
             if a == b:
                 # both edges run to the same neighbor; v adds nothing
                 continue
+            x = value(j1) * value(j2)
             edges.append((a, b))
-            probs.append(probs[j1] * probs[j2])
+            probs.append(float(x))
+            exact.append(x)
             alive.append(True)
             inc_a = inc.get(a)
             inc_b = inc.get(b)
             if inc_a is not None:
-                inc_a[:] = [x for x in inc_a if x != j1 and x != j2]
+                inc_a[:] = [k for k in inc_a if k != j1 and k != j2]
                 inc_a.append(len(edges) - 1)
             if inc_b is not None:
-                inc_b[:] = [x for x in inc_b if x != j1 and x != j2]
+                inc_b[:] = [k for k in inc_b if k != j1 and k != j2]
                 inc_b.append(len(edges) - 1)
 
-    final_edges = [edges[j] for j in range(len(edges)) if alive[j]]
-    final_probs = [probs[j] for j in range(len(edges)) if alive[j]]
-    used = sorted({v for e in final_edges for v in e} | terms)
+    kept = [j for j in range(len(edges)) if alive[j]]
+    used = sorted({v for j in kept for v in edges[j]} | terms)
     remap = {v: i for i, v in enumerate(used)}
     out = UncertainGraph(
         n=len(used),
-        edges=tuple((remap[u], remap[v]) for u, v in final_edges),
-        probs=tuple(float(p) for p in final_probs),
-        exact_probs=tuple(final_probs),
+        edges=tuple((remap[edges[j][0]], remap[edges[j][1]]) for j in kept),
+        probs=tuple(probs[j] for j in kept),
+        exact_probs=tuple(exact[j] for j in kept),
     )
-    return out, TerminalSet.of(remap[t] for t in terms)
+    return out, TerminalSet.of(remap[t] for t in terms), merged
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +320,32 @@ def undecomposed(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
 def preprocess(g: UncertainGraph, terminals: TerminalSet) -> Decomposition:
     """Decompose, transform, to a fixpoint.
 
-    Transforming a part can expose fresh bridges (a collapsed chain between
-    two terminals, say), so any part whose edge count dropped goes through
-    another round.  Each round strictly shrinks re-queued parts, so the loop
-    terminates.  Terminals in different components give reliability 0 and
-    no parts, as the first round finds.
+    A part from :func:`decompose` has no bridges, and series contraction
+    keeps it so: the new edge lies on every cycle its path lay on, and the
+    two edges of a vertex with one neighbor close no other cycle.  Only a
+    parallel merge can expose a bridge (a chain between two terminals
+    collapsed onto a parallel edge, say), so a part is re-queued for
+    another round only if its transform merged a parallel pair; each round
+    strictly shrinks it, so the loop terminates.  A part that shrank by
+    series contraction alone is settled: it still takes its turn in the
+    work list, so the parts keep the order another round would give them,
+    but is not decomposed again.  Terminals in different components give
+    reliability 0 and no parts, as the first round finds.
     """
     pb = Fraction(1)
     final: list[tuple[UncertainGraph, TerminalSet]] = []
-    work: list[tuple[UncertainGraph, TerminalSet]] = [(g, terminals)]
+    work: list[tuple[UncertainGraph, TerminalSet, bool]] = [(g, terminals, False)]
     while work:
-        deco = decompose(*work.pop())
+        work_g, work_t, settled = work.pop()
+        if settled:
+            final.append((work_g, work_t))
+            continue
+        deco = decompose(work_g, work_t)
         pb *= deco.bridge_factor_exact
         for part_g, part_t in deco.parts:
-            tg, tt = transform(part_g, part_t)
+            tg, tt, merged = _series_parallel(part_g, part_t)
             if tg.m < part_g.m:
-                work.append((tg, tt))
+                work.append((tg, tt, not merged))
             else:
                 final.append((tg, tt))
     final.sort(key=lambda pt: -pt[0].m)

@@ -1,5 +1,6 @@
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,34 @@ class TestModel:
         h = hash(a)  # a keeps its hash, b has not computed one yet
         assert a == b and b == a
         assert hash(b) == h == hash(a)
+
+
+class TestExactEntries:
+    # an exact entry is None (the float's shortest-repr reading) or a
+    # Fraction that rounds to the edge's float
+
+    def test_float_entry_rejected(self):
+        # 0.1 == Fraction(0.1) and both hash alike, yet 0.1 reads as 1/10
+        with pytest.raises(GraphInvariantError, match="edge 0"):
+            UncertainGraph(2, ((0, 1),), (0.1,), (0.1,))
+
+    def test_entry_off_the_float_rejected(self):
+        with pytest.raises(GraphInvariantError, match="edge 1"):
+            UncertainGraph(3, ((0, 1), (1, 2)), (0.5, 0.5), (None, Fraction(1, 3)))
+
+    def test_entry_that_rounds_to_the_float_kept(self):
+        g = UncertainGraph(3, ((0, 1), (1, 2)), (0.1, 1 / 3), (None, Fraction(1, 3)))
+        assert g.exact_probs == (None, Fraction(1, 3))
+        assert g.prob_values(True) == (Fraction(1, 10), Fraction(1, 3))
+        assert g.exact_prob(0) == Fraction(1, 10)
+
+    def test_no_entries_stored_as_none(self):
+        edges, probs = ((0, 1), (1, 2)), (0.1, 0.7)
+        lazy = UncertainGraph(3, edges, probs, (None, None))
+        plain = UncertainGraph(3, edges, probs)
+        assert lazy.exact_probs is None
+        assert lazy == plain and hash(lazy) == hash(plain)
+        assert lazy.prob_values(True) == (Fraction(1, 10), Fraction(7, 10))
 
 
 class TestTerminals:

@@ -5,7 +5,12 @@ import pytest
 
 from relnet.exact import brute_force_reliability
 from relnet.graph import TerminalSet, UncertainGraph, parse_graph
-from relnet.generate import random_connected_graph, random_terminals
+from relnet.generate import (
+    grid_graph,
+    random_connected_graph,
+    random_terminals,
+    tree_rich_graph,
+)
 from relnet.reduction import (
     Decomposition,
     build_structure_index,
@@ -242,14 +247,53 @@ class TestPreprocess:
             assert product(preprocess(g, t)) == pytest.approx(ref, abs=1e-9)
 
     def test_idempotent(self):
-        for seed in range(10):
-            g, t = small_case(seed, max_edges=12)
-            deco = preprocess(g, t)
-            for pg, pt in deco.parts:
+        corpus = [small_case(seed, max_edges=12) for seed in range(10)]
+        corpus.append((grid_graph(6, 40, seed=3), TerminalSet.of([0, 119, 239])))
+        corpus.append((grid_graph(5, 5, seed=1), TerminalSet.of([0, 12, 24])))
+        tree_rich = tree_rich_graph(141, seed=9)
+        corpus += [(tree_rich, random_terminals(tree_rich, k, seed=9)) for k in (5, 40)]
+        for g, t in corpus:
+            for pg, pt in preprocess(g, t).parts:
                 again = preprocess(pg, pt)
-                assert again.bridge_factor == pytest.approx(1.0)
-                assert len(again.parts) == 1
-                assert again.parts[0][0].m == pg.m
+                assert again.bridge_factor_exact == 1
+                assert again.parts == ((pg, pt),)
+
+    def test_parallel_merge_exposing_a_bridge_is_requeued(self):
+        # K4 on 0-3 with the triangle 0-4-5 hung off vertex 0: one
+        # bridgeless part, until contracting 4 puts 0-4-5 parallel to 0-5;
+        # the merged edge is then a bridge, which only another round finds
+        g = parse_graph(
+            "0 1 0.5\n0 2 0.5\n0 3 0.5\n1 2 0.5\n1 3 0.5\n2 3 0.5\n"
+            "0 4 0.6\n4 5 0.7\n0 5 0.8"
+        )
+        t = TerminalSet.of([0, 2, 5])
+        (part, part_t), = decompose(g, t).parts
+        once, once_t = transform(part, part_t)
+        assert build_structure_index(once).bridges
+        deco = preprocess(g, t)
+        merged = 1 - (1 - Fraction("0.6") * Fraction("0.7")) * (1 - Fraction("0.8"))
+        assert deco.bridge_factor_exact == merged
+        (k4, k4_t), = deco.parts
+        assert k4.edges == g.edges[:6] and k4_t == TerminalSet.of([0, 2])
+
+    def test_series_shrunk_part_keeps_its_turn(self):
+        # two 4-edge parts joined by the bridge 0-5: the 5-cycle 0-4 shrinks
+        # to a 4-cycle by series contraction alone; it still takes its turn
+        # after the untouched 4-cycle 5-8, so the sort keeps it second
+        g = parse_graph(
+            "0 1 0.91\n1 2 0.92\n2 3 0.93\n3 4 0.5\n4 0 0.6\n0 5 0.7\n"
+            "5 6 0.81\n6 7 0.82\n7 8 0.83\n8 5 0.84"
+        )
+        t = TerminalSet.of([0, 1, 2, 3, 5, 6, 7, 8])
+        assert [pg.m for pg, _ in decompose(g, t).parts] == [5, 4]
+        deco = preprocess(g, t)
+        assert deco.bridge_factor_exact == Fraction(7, 10)
+        square = ((0, 1), (1, 2), (2, 3), (3, 0))
+        assert [(pg.edges, pg.probs, pt.k) for pg, pt in deco.parts] == [
+            (square, (0.81, 0.82, 0.83, 0.84), 4),
+            (square, (0.91, 0.92, 0.93, 0.3), 4),
+        ]
+        assert deco.parts[1][0].prob_values(True)[3] == Fraction(3, 10)
 
     def test_karate_shrinks_and_preserves(self, karate_graph):
         from relnet.diagram import exact_reliability
@@ -270,6 +314,53 @@ class TestPreprocess:
         deco = preprocess(g, TerminalSet.of([0, 1, 4, 5]))
         sizes = [pg.m for pg, _ in deco.parts]
         assert sizes == sorted(sizes, reverse=True)
+
+
+class TestLazyExactReadings:
+    # preprocessing reads an exact value only where a rule combines edges;
+    # reading the rest lazily must give the parts that spelled-out exact
+    # values give
+
+    @staticmethod
+    def corpus(karate_graph):
+        cases = [small_case(seed) for seed in range(60)]
+        cases.append((grid_graph(6, 40, seed=3), TerminalSet.of([0, 119, 239])))
+        tree_rich = tree_rich_graph(141, seed=9)
+        cases += [(tree_rich, random_terminals(tree_rich, k, seed=9)) for k in (5, 40)]
+        cases.append((karate_graph, TerminalSet.of([6, 7, 9, 18, 27])))
+        for seed in range(3):
+            g = random_connected_graph(10, 24, seed=seed, allow_parallel=True)
+            cases.append((g, random_terminals(g, 3, seed=seed)))
+        return cases
+
+    def test_lazy_readings_equal_spelled_out_ones(self, karate_graph):
+        for g, t in self.corpus(karate_graph):
+            spelled = UncertainGraph(g.n, g.edges, g.probs, g.prob_values(True))
+            lazy, full = preprocess(g, t), preprocess(spelled, t)
+            assert lazy.bridge_factor_exact == full.bridge_factor_exact
+            assert len(lazy.parts) == len(full.parts)
+            for (pg, pt), (fg, ft) in zip(lazy.parts, full.parts):
+                assert pg.edges == fg.edges and pg.probs == fg.probs
+                assert pg.prob_values(True) == fg.prob_values(True)
+                assert pt == ft
+
+    def test_strip_reads_few_exact_values(self, monkeypatch):
+        import sys
+
+        from relnet.numerics import to_fraction
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return to_fraction(x)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("relnet") and getattr(module, "to_fraction", None) is to_fraction:
+                monkeypatch.setattr(module, "to_fraction", counted)
+        deco = preprocess(grid_graph(6, 100, seed=0), TerminalSet.of([0, 350, 599]))
+        assert [pg.m for pg, _ in deco.parts] == [1092]
+        assert 0 < len(calls) <= 8
 
 
 class TestVarianceEffect:
