@@ -17,9 +17,8 @@ from .estimators import (
     Bounds,
     EstimateReport,
     StratumDraw,
-    ht_estimate,
+    combine_strata,
     ht_variance,
-    mc_estimate,
     mc_variance,
     reduced_sample_count,
     stratified_mc_variance,
@@ -61,15 +60,14 @@ __all__ = [
     "WidthCapExceeded",
     "brute_force_reliability",
     "build_structure_index",
+    "combine_strata",
     "construct",
     "decompose",
     "estimate_pipeline",
     "exact_pipeline",
     "exact_reliability",
-    "ht_estimate",
     "ht_variance",
     "load_graph",
-    "mc_estimate",
     "mc_variance",
     "order_edges",
     "parse_graph",

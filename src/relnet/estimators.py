@@ -5,8 +5,9 @@ The realization space splits into three groups: proven connected (mass
 undecided region is ever sampled, which turns plain Monte Carlo into a
 stratified scheme whose variance shrinks as the bounds tighten, and lets the
 requested sample count be cut ahead of time without losing accuracy.
-:func:`combine_strata` is the one place where the bounds, the per-stratum
-draws and any unsampled mass become an estimate and its variance.
+:func:`combine_strata` is the one estimator: the one place where the
+bounds, the per-stratum draws and any unsampled mass become an estimate and
+its variance, for Monte Carlo and Horvitz-Thompson alike.
 
 Count reductions are the floors that exact rational arithmetic over the
 decimal reading of the bounds gives, so floor thresholds land exactly (10000
@@ -57,8 +58,9 @@ class Bounds:
 class StratumDraw:
     """Sampling record for one stratum of the undecided region.
 
-    ``mass`` is the stratum's absolute probability mass.  For the
-    Horvitz-Thompson estimator, ``outcomes`` holds one record per draw:
+    ``mass`` is the stratum's absolute probability mass; a stratum with no
+    draws or no mass adds nothing to :func:`combine_strata`'s estimate.  For
+    the Horvitz-Thompson estimator, ``outcomes`` holds one record per draw:
     (outcome identity, probability of the outcome conditioned on the stratum,
     connected flag).  Identities distinguish realizations that happen to
     share a probability; duplicates of the same identity are one sampled
@@ -106,25 +108,18 @@ def ht_variance(
     r_hat: float,
     draws: Sequence[tuple[float, bool]],
     s: int,
-    bounds: Optional[Bounds] = None,
+    bounds: Bounds,
 ) -> float:
     """Horvitz-Thompson variance estimate (simplified form).
 
-    First term is the Monte Carlo variance, or its stratified counterpart
-    when bounds are supplied; the correction subtracts
-    (s-1) * sum(I_i * Pr_i^2) / (2s) over the draw list.
+    The stratified Monte Carlo variance, which checks ``s``, less the
+    correction (s-1) * sum(I_i * Pr_i^2) / (2s) over the draw list.
     """
-    if s < 1:
-        raise EstimatorError("sample count must be >= 1")
-    if bounds is None:
-        base = mc_variance(r_hat, s)
-    else:
-        base = stratified_mc_variance(r_hat, bounds, s)
     corr = 0.0
     for pr, connected in draws:
         if connected:
             corr += pr * pr
-    return base - (s - 1) * corr / (2.0 * s)
+    return stratified_mc_variance(r_hat, bounds, s) - (s - 1) * corr / (2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +175,6 @@ def inclusion_probability(q: float, d: int) -> float:
     return -math.expm1(d * math.log1p(-q))
 
 
-def mc_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
-    """Stratified Monte Carlo combination: p_c + sum(mass_i * mean_i).
-
-    Strata with zero mass are ignored; a positive-mass stratum with no draws
-    is an error (the caller decides how to treat unsampled mass).
-    """
-    est = bounds.p_c
-    for st in strata:
-        if st.mass == 0:
-            continue
-        if st.draws < 1:
-            raise EstimatorError("positive-mass stratum with zero draws")
-        est += st.mass * (st.successes / st.draws)
-    return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
-
-
-def ht_estimate(strata: Sequence[StratumDraw], bounds: Bounds) -> float:
-    """Horvitz-Thompson combination over the undecided strata.
-
-    Within a stratum sampled ``d`` times, a distinct outcome with conditional
-    probability q has inclusion probability pi = 1 - (1-q)^d and contributes
-    q/pi when connected; the stratum total is scaled by its mass and offset
-    by p_c like the Monte Carlo combination.  An outcome drawn although its
-    probability underflowed to 0.0 contributes the limit of q/pi as q -> 0,
-    which is 1/d.
-    """
-    est = bounds.p_c
-    for st in strata:
-        if st.mass == 0:
-            continue
-        if st.outcomes is None or st.draws < 1:
-            raise EstimatorError("stratum lacks per-draw outcome records")
-        seen: dict[Hashable, tuple[float, bool]] = {}
-        for key, q, connected in st.outcomes:
-            if q < 0.0:
-                raise EstimatorError("negative draw probability")
-            seen[key] = (q, connected)
-        part = 0.0
-        d = st.draws
-        for q, connected in seen.values():
-            if connected:
-                part += q / inclusion_probability(q, d) if q > 0.0 else 1.0 / d
-        est += st.mass * part
-    return float(clamp(est, bounds.p_c, 1.0 - bounds.p_d))
-
-
 def combine_strata(
     kind: str,
     strata: Sequence[StratumDraw],
@@ -234,20 +183,47 @@ def combine_strata(
 ) -> tuple[float, float]:
     """The estimate and its variance from the bounds and the strata's draws.
 
-    Monte Carlo uses the stratified variance over all draws taken;
-    Horvitz-Thompson scales each outcome's conditional probability by its
-    stratum mass and clamps its simplified variance at 0.  Undecided mass
-    that received no draws contributes the midpoint of its possible range
-    (half its mass) to the estimate and the square of that half to the
-    variance, which reduces to the midpoint rule for a zero sample budget.
+    The estimate is p_c plus each stratum's mass times its sampled success
+    share; a stratum with no draws or no mass adds nothing.  Monte Carlo
+    takes the share as successes over draws.  Horvitz-Thompson takes it
+    over the distinct outcomes of a stratum sampled ``d`` times: a connected
+    outcome with conditional probability q has inclusion probability
+    pi = 1 - (1-q)^d and adds q/pi, or 1/d, the limit as q -> 0, when q
+    underflowed to 0.0.  Undecided mass that received no draws adds the
+    midpoint of its possible range (half its mass), and the sum is clamped
+    once into [p_c, 1 - p_d]; every stratum term is nonnegative, so no
+    partial sum falls below p_c.
+
+    Monte Carlo's variance is the stratified one over all draws taken;
+    Horvitz-Thompson's is its simplified form, over each outcome's
+    probability scaled by its stratum mass and clamped at 0.  The unsampled
+    half mass adds its square, which reduces to the midpoint rule for a zero
+    sample budget.
     """
-    sampled = [st for st in strata if st.draws > 0 and st.mass > 0]
-    if kind == "mc":
-        est = mc_estimate(sampled, bounds)
-    elif kind == "ht":
-        est = ht_estimate(sampled, bounds)
-    else:
+    if kind not in ("mc", "ht"):
         raise EstimatorError(f"unknown estimator kind {kind!r}")
+    est = bounds.p_c
+    for st in strata:
+        if st.draws < 1 or st.mass == 0:
+            continue
+        d = st.draws
+        if kind == "mc":
+            est += st.mass * (st.successes / d)
+            continue
+        if st.outcomes is None:
+            raise EstimatorError("stratum lacks per-draw outcome records")
+        seen: dict[Hashable, tuple[float, bool]] = {}
+        for key, q, connected in st.outcomes:
+            if q < 0.0:
+                raise EstimatorError("negative draw probability")
+            seen[key] = (q, connected)
+        part = 0.0
+        for q, connected in seen.values():
+            if connected:
+                part += q / inclusion_probability(q, d) if q > 0.0 else 1.0 / d
+        # one entry per distinct outcome: freed before the variance's records
+        del seen
+        est += st.mass * part
     est = float(clamp(est + 0.5 * unsampled_mass, bounds.p_c, 1.0 - bounds.p_d))
     draws = sum(st.draws for st in strata)
     if draws < 1:

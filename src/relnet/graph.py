@@ -217,7 +217,8 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
 
     One edge per line, whitespace separated, 0-based integer vertex ids and a
     decimal probability; ``#`` starts a comment line.  Edge order in the file
-    defines edge indices.
+    defines edge indices.  A probability's literal is the edge's exact entry
+    only where it differs from the reading of its float's shortest repr.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -225,7 +226,7 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
 
     edges: list[tuple[int, int]] = []
     probs: list[float] = []
-    literals: list[Fraction] = []
+    literals: list[Optional[Fraction]] = []
     seen: set[int] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -251,7 +252,9 @@ def load_graph(source, *, require_connected: bool = True) -> UncertainGraph:
             raise GraphFormatError(f"line {lineno}: probability out of range (0, 1]")
         edges.append((u, v))
         probs.append(p)
-        literals.append(p_exact)
+        # no entry where the float reads back as the literal's value, so a
+        # file's graph equals the same floats made in memory
+        literals.append(None if p_exact == to_fraction(p) else p_exact)
         seen.update((u, v))
 
     if not edges:

@@ -29,7 +29,7 @@ from relnet import diagram, rng as rngmod
 from relnet.estimators import (
     Bounds,
     StratumDraw,
-    ht_estimate,
+    combine_strata,
     reduced_sample_count,
 )
 from relnet.exact import brute_force_reliability
@@ -1430,10 +1430,11 @@ class TestConstruct:
                             seqs = [(seq + (o,), pr * o[1])
                                     for seq, pr in seqs for o in table]
                         mean = sum(
-                            pr * ht_estimate(
+                            pr * combine_strata(
+                                "ht",
                                 [StratumDraw(mass, d, sum(o[2] for o in seq), list(seq))],
                                 Bounds(0.0, 0.0),
-                            )
+                            )[0]
                             for seq, pr in seqs
                         )
                         assert mean == pytest.approx(expected, abs=1e-12)

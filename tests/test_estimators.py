@@ -11,9 +11,8 @@ from relnet.estimators import (
     EstimatorError,
     StratumDraw,
     combine_strata,
-    ht_estimate,
     ht_variance,
-    mc_estimate,
+    inclusion_probability,
     mc_variance,
     reduced_sample_count,
     stratified_mc_variance,
@@ -74,10 +73,10 @@ class TestVariances:
 
     def test_ht_variance_reduces_to_mc_without_mass(self):
         draws = [(0.0, True)] * 5
-        assert ht_variance(0.4, draws, 5) == pytest.approx(mc_variance(0.4, 5))
+        assert ht_variance(0.4, draws, 5, Bounds()) == pytest.approx(mc_variance(0.4, 5))
 
     def test_ht_variance_single_draw_has_no_correction(self):
-        assert ht_variance(0.4, [(0.3, True)], 1) == pytest.approx(mc_variance(0.4, 1))
+        assert ht_variance(0.4, [(0.3, True)], 1, Bounds()) == pytest.approx(mc_variance(0.4, 1))
 
     def test_ht_variance_matches_direct_formula(self):
         draws = [(0.11, True), (0.04, False), (0.2, True), (0.07, True)]
@@ -87,7 +86,7 @@ class TestVariances:
         expected = r * (1 - r) / s - (s - 1) * sum(
             p * p for p, ok in draws if ok
         ) / (2 * s)
-        assert ht_variance(r, draws, s) == pytest.approx(expected, abs=1e-15)
+        assert ht_variance(r, draws, s, Bounds()) == pytest.approx(expected, abs=1e-15)
 
 
 class TestReducedSampleCount:
@@ -195,23 +194,24 @@ class TestReducedSampleCount:
 class TestMcEstimate:
     def test_offset_plus_stratum(self):
         strata = [StratumDraw(mass=0.4, draws=20, successes=10)]
-        assert mc_estimate(strata, Bounds(0.3, 0.0)) == pytest.approx(0.5)
+        assert combine_strata("mc", strata, Bounds(0.3, 0.0))[0] == pytest.approx(0.5)
 
     def test_bounds_only(self):
-        assert mc_estimate([], Bounds(0.7, 0.3)) == pytest.approx(0.7)
+        assert combine_strata("mc", [], Bounds(0.7, 0.3))[0] == pytest.approx(0.7)
 
     def test_collapses_to_plain_mc(self):
         strata = [StratumDraw(mass=1.0, draws=100, successes=70)]
-        assert mc_estimate(strata, Bounds()) == pytest.approx(0.7)
-
-    def test_zero_draw_stratum_rejected(self):
-        with pytest.raises(EstimatorError):
-            mc_estimate([StratumDraw(mass=0.2, draws=0, successes=0)], Bounds())
+        assert combine_strata("mc", strata, Bounds())[0] == pytest.approx(0.7)
 
     def test_clamped_into_bounds(self):
         strata = [StratumDraw(mass=0.5, draws=10, successes=10)]
-        est = mc_estimate(strata, Bounds(0.2, 0.4))
+        est = combine_strata("mc", strata, Bounds(0.2, 0.4))[0]
         assert est <= 0.6 + 1e-12
+        # a sum past 1 - p_d stays past it after the midpoint term, which
+        # the one clamp then reads as exactly the upper bound
+        strata = [StratumDraw(mass=0.3, draws=10, successes=10)]
+        est = combine_strata("mc", strata, Bounds(0.35, 0.4), unsampled_mass=0.1)[0]
+        assert est == 1.0 - 0.4
 
 
 class TestHtEstimate:
@@ -220,34 +220,39 @@ class TestHtEstimate:
             StratumDraw(mass=0.25, draws=9, successes=9,
                         outcomes=[("x", 1.0, True)] * 9)
         ]
-        assert ht_estimate(strata, Bounds(0.1, 0.0)) == pytest.approx(0.35)
+        assert combine_strata("ht", strata, Bounds(0.1, 0.0))[0] == pytest.approx(0.35)
+        # pi = 1 for q = 1.0, so the outcome adds q itself
+        assert inclusion_probability(1.0, 3) == 1.0
+        strata = [StratumDraw(mass=1.0, draws=3, successes=3,
+                              outcomes=[("x", 1.0, True)] * 3)]
+        assert combine_strata("ht", strata, Bounds())[0] == 1.0
 
     def test_no_connected_draws_returns_lower_bound(self):
         strata = [
             StratumDraw(mass=0.5, draws=3, successes=0,
                         outcomes=[("a", 0.3, False), ("b", 0.3, False), ("a", 0.3, False)])
         ]
-        assert ht_estimate(strata, Bounds(0.2, 0.1)) == pytest.approx(0.2)
+        assert combine_strata("ht", strata, Bounds(0.2, 0.1))[0] == pytest.approx(0.2)
 
     def test_outcome_below_double_resolution(self):
         # 1 - 1e-20 rounds to 1.0, so the naive (1-q)^d inclusion
         # probability is 0; the outcome still counts q / (d*q) = 1/d
         strata = [StratumDraw(mass=1.0, draws=10, successes=1,
                               outcomes=[("a", 1e-20, True)])]
-        assert ht_estimate(strata, Bounds()) == pytest.approx(0.1)
+        assert combine_strata("ht", strata, Bounds())[0] == pytest.approx(0.1)
 
     def test_zero_probability_counts_its_limit(self):
         # q underflowed to 0.0: q/pi tends to 1/d as q -> 0
         strata = [StratumDraw(mass=0.5, draws=4, successes=2,
                               outcomes=[("a", 0.0, True), ("b", 0.0, False),
                                         ("a", 0.0, True), ("c", 0.0, True)])]
-        assert ht_estimate(strata, Bounds(0.25, 0.0)) == pytest.approx(0.25 + 0.5 * 2 / 4)
+        assert combine_strata("ht", strata, Bounds(0.25, 0.0))[0] == pytest.approx(0.25 + 0.5 * 2 / 4)
 
     def test_negative_probability_rejected(self):
         strata = [StratumDraw(mass=1.0, draws=1, successes=1,
                               outcomes=[("a", -0.1, True)])]
         with pytest.raises(EstimatorError):
-            ht_estimate(strata, Bounds())
+            combine_strata("ht", strata, Bounds())
 
     def test_unbiased_on_two_edge_parallel_graph(self):
         # true reliability 0.75; empirical mean over repetitions
@@ -265,7 +270,7 @@ class TestHtEstimate:
                 hits += ok
                 outcomes.append((mask, assignment_probability(g, mask), ok))
             strata = [StratumDraw(mass=1.0, draws=s, successes=hits, outcomes=outcomes)]
-            estimates.append(ht_estimate(strata, Bounds()))
+            estimates.append(combine_strata("ht", strata, Bounds())[0])
         mean = statistics.fmean(estimates)
         se = statistics.stdev(estimates) / len(estimates) ** 0.5
         # the absolute term guards the near-degenerate regime where every
@@ -283,6 +288,9 @@ class TestCombineStrata:
         idle = [StratumDraw(mass=0.6, draws=0, successes=0)]
         out = combine_strata("ht", idle, Bounds(0.2, 0.2), unsampled_mass=0.6)
         assert out == pytest.approx((0.5, 0.09))
+        # so does an MC stratum with mass but no draws, which adds nothing
+        out = combine_strata("mc", [StratumDraw(mass=0.2, draws=0, successes=0)], Bounds())
+        assert out == (0.0, 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(EstimatorError):

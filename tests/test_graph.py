@@ -15,7 +15,10 @@ from relnet.graph import (
     parse_graph,
     sample_possible_graph,
     terminals_connected,
+    write_graph,
 )
+from relnet.generate import grid_graph
+from relnet.pipeline import exact_pipeline
 from relnet.rng import stream
 from conftest import DATA_DIR, small_case
 
@@ -109,6 +112,24 @@ class TestExactEntries:
         assert g.exact_probs == (None, Fraction(1, 3))
         assert g.prob_values(True) == (Fraction(1, 10), Fraction(1, 3))
         assert g.exact_prob(0) == Fraction(1, 10)
+
+    def test_file_graph_equals_the_same_floats_in_memory(self, tmp_path):
+        # a literal is an entry only where it reads as another value than
+        # its float's shortest repr
+        g = grid_graph(6, 100, seed=0)
+        write_graph(g, tmp_path / "strip.edges")
+        read = load_graph(tmp_path / "strip.edges")
+        assert read.exact_probs is None
+        assert read == g and hash(read) == hash(g)
+        assert load_graph(DATA_DIR / "karate.edges").exact_probs is None
+        assert parse_graph("0 1 0.50").exact_probs is None
+        binary = "0.1000000000000000055511151231257827021181583404541015625"
+        (tmp_path / "binary.edges").write_text(f"0 1 {binary}\n")
+        one = load_graph(tmp_path / "binary.edges")
+        assert one.exact_probs == (Fraction(binary),)
+        assert exact_pipeline(one, TerminalSet.of([0, 1]), precision="exact") == Fraction(
+            3602879701896397, 36028797018963968
+        )
 
     def test_no_entries_stored_as_none(self):
         edges, probs = ((0, 1), (1, 2)), (0.1, 0.7)
