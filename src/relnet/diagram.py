@@ -20,9 +20,13 @@ whether every terminal is reached.  Along a regular order such as a grid
 strip's, one step comes back once a column, so the layers of a recurring
 step share one table of transitions keyed by the state, whose values are
 the children's states, and each looks its nodes up there before computing
-any.  A table lives from its step's first occurrence to its last, which
-reads it and adds nothing, so each transition is computed once per step and
-no table outlives the build.
+any.  Every occurrence of a step but its last adds what it computes, and
+the last only reads.  No probability enters the order but its edge table,
+so everything else, the tables included, is kept for the most recent
+structure (vertex count, edge list and terminals): a build of an equal
+structure with other probabilities, such as the next grid strip of one
+shape, computes only the transitions that no earlier build of it met at a
+layer that writes.  A build of another structure replaces them.
 
 When a layer outgrows the configured width, the lightest nodes are deleted
 and become sampling strata.  A stratum's nodes share the layer's
@@ -39,9 +43,9 @@ masks and its node's joins; HT records each lane's mask and probability.
 An early-stopped draw reaches the full pass's verdict and skips the words
 the full pass reads, so the lanes' successes and end state are the loop's.
 Once a layer has been split, the build stops as soon as the nodes still
-resident hold less mass than one requested draw stands for, and their mass
-is left unsampled.  The final estimate combines the bounds with the
-per-stratum draws.
+resident hold less mass than one requested draw stands for and no more than
+the mass already left unsampled, and their mass is left unsampled too.  The
+final estimate combines the bounds with the per-stratum draws.
 
 Only the draws depend on the seed, so a construction is a seed-free build
 (layers, bounds, per-layer budgets and one flat record per scheduled
@@ -54,7 +58,8 @@ only the work that depends on the seed.  The plain-sampling baseline is a
 width-0 build, whose root is deleted before layer 1, and is kept and reused
 like any other.  Only the most recent build is kept, so a graph that
 preprocessing splits into several parts rebuilds each part on every call,
-and calls that alternate between the diagram and the baseline rebuild both.
+and calls that alternate between the diagram and the baseline rebuild both;
+the parts' structures evict each other's tables the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,26 +159,80 @@ class EdgeOrder:
 def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     """Default ordering: breadth-first from the smallest terminal.
 
+    Everything but the edge table depends on the structure alone, the
+    vertex count, the edge list and the terminals, and comes from
+    :func:`_structure`, which keeps the most recent one; only ``edges``,
+    which carries the probabilities, is made on every call.
+    """
+    st = _structure(g.n, g.edges, terminals)
+    probs = g.probs
+    return EdgeOrder(
+        order=st.order,
+        edges=tuple((*g.edges[j], probs[j], 1.0 - probs[j]) for j in st.order),
+        first=st.first,
+        frontiers=st.frontiers,
+        terminals=terminals,
+        steps=st.steps,
+        checks=st.checks,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """The probability-free part of an :class:`EdgeOrder`, and its tables.
+
+    ``order``, ``first``, ``frontiers``, ``steps`` and ``checks`` are the
+    order's.  ``recurs[l]`` says whether layer l's step comes back at a
+    later layer, and ``tables[l]`` is that step's transition table, one dict
+    shared by all its layers, or None for a step that occurs once.  A table
+    maps a node state to the (off, on) pair :func:`_apply_both` gives it
+    under the step, which no probability changes, so the tables are kept
+    with the structure and a later build of it reads what earlier builds
+    wrote.
+    """
+
+    order: tuple[int, ...]
+    first: tuple[int, ...]
+    frontiers: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple, ...]
+    checks: tuple[tuple[int, tuple[int, ...], int], ...]
+    recurs: tuple[bool, ...]
+    tables: tuple[Optional[dict], ...]
+
+
+@lru_cache(maxsize=1)
+def _structure(
+    n: int, edges: tuple[tuple[int, int], ...], terminals: TerminalSet
+) -> _Structure:
+    """The order of :func:`order_edges`, and all of it that no probability sets.
+
     Edges are emitted when their first endpoint is dequeued, which keeps the
     frontier narrow on path-like and planar-like graphs.  One sweep over the
     layers then makes the frontiers and the steps, and the checks are read
     off the frontiers.
     """
-    m = g.m
+    # a miss: drop the previous structure and its tables now, so at most one
+    # is alive at a time
+    _structure.cache_clear()
+    m = len(edges)
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(edges):
+        incident[a].append(j)
+        incident[b].append(j)
     start = min(terminals.vertices)
     emitted = [False] * m
     order: list[int] = []
-    visited = [False] * g.n
+    visited = [False] * n
     visited[start] = True
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for j in g.incident(u):
+        for j in incident[u]:
             if emitted[j]:
                 continue
             emitted[j] = True
             order.append(j)
-            a, b = g.edges[j]
+            a, b = edges[j]
             x = b if a == u else a
             if not visited[x]:
                 visited[x] = True
@@ -181,10 +240,10 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     if len(order) != m:
         raise GraphInvariantError("graph is not connected")
 
-    first = [m] * g.n
-    last = [-1] * g.n
+    first = [m] * n
+    last = [-1] * n
     for pos, j in enumerate(order):
-        for v in g.edges[j]:
+        for v in edges[j]:
             if first[v] == m:
                 first[v] = pos
             last[v] = pos
@@ -192,7 +251,7 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     # entering v after layer first[v] and leaving after layer last[v]
     enter: list[list[int]] = [[] for _ in range(m)]
     leave: list[list[int]] = [[] for _ in range(m)]
-    for v in range(g.n):
+    for v in range(n):
         if last[v] >= 0:
             enter[first[v]].append(v)
             leave[last[v]].append(v)
@@ -203,7 +262,7 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
     frontiers: list[tuple[int, ...]] = [()]
     steps = []
     for pos, j in enumerate(order):
-        u, v = g.edges[j]
+        u, v = edges[j]
         index = {x: i for i, x in enumerate(frontier)}
         for x in enter[pos]:
             insort(frontier, x)
@@ -225,15 +284,23 @@ def order_edges(g: UncertainGraph, terminals: TerminalSet) -> EdgeOrder:
         live = frontiers[pos] + tuple(x for x in terminals.sorted() if first[x] >= pos)
         checks.append((pos, live, m - pos))
     checks.append((m, (), 0))
-    probs = g.probs
-    return EdgeOrder(
+
+    # whether each layer's step comes back later; one table per step that does
+    later: set[tuple] = set()
+    recurs = []
+    for step in reversed(steps):
+        recurs.append(step in later)
+        later.add(step)
+    recurs.reverse()
+    table_of = {step: {} for step, again in zip(steps, recurs) if again}
+    return _Structure(
         order=tuple(order),
-        edges=tuple((*g.edges[j], probs[j], 1.0 - probs[j]) for j in order),
         first=tuple(first),
         frontiers=tuple(frontiers),
-        terminals=terminals,
         steps=tuple(steps),
         checks=tuple(checks),
+        recurs=tuple(recurs),
+        tables=tuple([table_of.get(step) for step in steps]),
     )
 
 
@@ -886,24 +953,28 @@ def _build(
     reused across seeds.
 
     Layers with equal steps share transitions: the layers of a recurring
-    step read and extend one table, made at its first occurrence.  The last
-    occurrence only reads it and drops it, and a step that never recurs gets
-    no table, since a table written there would only raise the build's peak
-    memory.  So each state's transitions are computed once per step, and no
-    table outlives the build.
+    step read and extend one table, kept with the order's structure
+    (:func:`_structure`) after the build returns.  The last occurrence only
+    reads it, and a step that never recurs gets no table, since a table
+    written there would only raise the peak memory.  So each state's
+    transitions are computed once per step, and a later build of the same
+    structure with other probabilities computes only the states that no
+    earlier one met at a layer that writes.
 
     Once some layer has been split, the build stops after the first layer
     whose resident nodes either meet the budget when sampled or hold less
-    mass than one requested draw stands for (``s * mass < 1``); they become
-    a last ``"resident"`` stratum, which in the second case gets no draws
-    and leaves its mass unsampled.  A build that never splits, the exact
-    route's included, expands every layer.
+    mass than one requested draw stands for (``s * mass < 1``) and no more
+    than the mass already unsampled; they become a last ``"resident"``
+    stratum, which in the second case gets no draws and leaves its mass
+    unsampled.  A build that never splits, the exact route's included,
+    expands every layer.
     """
     # a miss: drop the previous build now, so at most one is alive at a time
     # (this also zeroes the cache_info() counts)
     _build.cache_clear()
     exact = precision == "exact"
     eo = order_edges(g, terminals)
+    plan = _structure(g.n, g.edges, terminals)  # eo's, with the kept tables
     probs = g.prob_values(exact)
     s = samples
 
@@ -974,16 +1045,12 @@ def _build(
         add_stratum(layer_nodes, 1.0, 0, "deleted")
         layer_nodes = []
     steps = () if width == 0 else eo.steps
-    recurrences = Counter(steps)
-    tables: dict[tuple, dict] = {}
+    tables, recurs = plan.tables, plan.recurs
     for layer, step in enumerate(steps):
-        recurrences[step] -= 1
-        if recurrences[step]:
-            table = record = tables.setdefault(step, {})
-        else:
-            table, record = tables.pop(step, None), None
+        table = tables[layer]
         layer_nodes, resident_mass = expand_layer(
-            layer_nodes, step, probs[eo.order[layer]], p_c, p_d, table, record,
+            layer_nodes, step, probs[eo.order[layer]], p_c, p_d,
+            table, table if recurs[layer] else None,
         )
         layers_done = layer + 1
         if width_cap is not None and len(layer_nodes) > width_cap:
@@ -1012,11 +1079,17 @@ def _build(
         # nodes meets the budget, or when they hold less mass than one
         # requested draw stands for (1/s): the budget never grows, so no
         # descendant of theirs could earn a draw, and their stratum gets
-        # none, leaving its mass unsampled.
+        # none, leaving its mass unsampled.  The second stop also waits
+        # until they hold no more than the mass already unsampled: from then
+        # on they are at most half of what the midpoint term covers, so
+        # expanding them could at most halve that term, while before it
+        # their mass is most of the bounds' gap, far wider than R on a rare
+        # event.
         budget_met = drawn > 0 and drawn + int(s_prime * resident_mass) >= s_prime
         too_light = (
             s > 0 and s * resident_mass < 1
             and (drawn > 0 or unsampled_mass.value > 0)
+            and resident_mass <= unsampled_mass.value
         )
         if budget_met or too_light:
             batch = add_stratum(layer_nodes, resident_mass, layer + 1, "resident")
@@ -1054,7 +1127,8 @@ def construct(
     budget is re-reduced after every layer from the current bounds; deleted
     and leftover nodes are sampled over the undecided suffix.  A split build
     stops once its resident nodes cannot earn a draw (less than ``1/s`` of
-    mass), and their mass is reported as unsampled.  The most recent build
+    mass) and hold no more than the mass already unsampled, and their mass
+    is reported as unsampled too.  The most recent build
     is reused when only the seed or the estimator changes.
     """
     terminals.validate(g)

@@ -434,22 +434,40 @@ class TestTransitionTables:
 
     @pytest.mark.parametrize("width", [100, 1000])
     def test_each_state_computed_once_per_signature(self, monkeypatch, width):
-        # one table serves every layer of a signature, so a state seen at one
-        # of them is never computed again at a later one
+        # one table serves every layer of a recurring step, and the
+        # structure keeps it: a state computed at a layer that writes is
+        # never computed again, at a later layer or by a later build of the
+        # strip with other probabilities.  Only a layer that reads alone, a
+        # step's last occurrence or a step that occurs once, computes a state
+        # again, at most once per build
         g, t = self.STRIP
-        calls = Counter()
-        real_apply = diagram._apply_both
+        other = grid_graph(6, 40, seed=1)
+        assert other.edges == g.edges and other.probs != g.probs
+        writes = [False]
+        calls: dict[tuple, list[bool]] = {}
+        real_apply, real_expand = diagram._apply_both, diagram.expand_layer
 
         def apply_both(state, sig):
-            calls[sig, state] += 1
+            calls.setdefault((sig, state), []).append(writes[0])
             return real_apply(state, sig)
 
+        def expand(nodes, sig, pe, p_c, p_d, table, record):
+            writes[0] = record is not None
+            return real_expand(nodes, sig, pe, p_c, p_d, table, record)
+
         monkeypatch.setattr(diagram, "_apply_both", apply_both)
+        monkeypatch.setattr(diagram, "expand_layer", expand)
         _build.cache_clear()
+        diagram._structure.cache_clear()
         _build(g, t, width, 10000, "double", None)
+        first = sum(map(len, calls.values()))
+        _build(other, t, width, 10000, "double", None)
         _build.cache_clear()
-        assert len(calls) > 4000
-        assert max(calls.values()) == 1
+        second = sum(map(len, calls.values())) - first
+        assert first > 4000
+        assert 0 < second < first / 2
+        assert max(map(len, calls.values())) <= 2
+        assert not any(True in flags[:-1] for flags in calls.values())
 
     def test_only_recurring_occurrences_write(self, monkeypatch, karate_graph):
         # a signature's last occurrence reads its table and writes nothing,
@@ -485,15 +503,113 @@ class TestTransitionTables:
                     assert record is not None and record is table
                     assert tables.setdefault(sig, table) is table
 
-    def test_no_table_outlives_the_build(self):
+    def test_no_table_outlives_its_structure(self):
+        # the strip's tables stay with its structure after its build returns,
+        # until a build of another structure replaces them
         g, t = self.STRIP
+        small = path_graph(3), TerminalSet.of([0, 3])
+        _build(*small, 100, 10000, "double", None)
         _build.cache_clear()
         gc.collect()
         before = len(gc.get_objects())
         _build(g, t, 100, 10000, "double", None)
         _build.cache_clear()
+        kept = {id(tb): tb for tb in diagram._structure(g.n, g.edges, t).tables if tb}
+        assert sum(map(len, kept.values())) > 1000
+        del kept
+        _build(*small, 100, 10000, "double", None)
+        _build.cache_clear()
         gc.collect()
         assert abs(len(gc.get_objects()) - before) <= 20
+
+
+class TestStructureReuse:
+    """A kept structure and its tables change no build, only its cost."""
+
+    T = TerminalSet.of([0, 350, 599])
+
+    @staticmethod
+    def _clear():
+        from relnet.pipeline import _decomposition
+
+        _decomposition.cache_clear()
+        _build.cache_clear()
+        diagram._structure.cache_clear()
+
+    def test_builds_in_sequence_equal_fresh_builds(self, monkeypatch):
+        # the strips' parts share one structure and differ in probabilities
+        from relnet.reduction import preprocess
+
+        parts = [
+            preprocess(grid_graph(6, 100, seed=seed), self.T).parts[0]
+            for seed in range(4)
+        ]
+        assert len({(pg.edges, pt) for pg, pt in parts}) == 1
+        computed = [0]
+        real_apply = diagram._apply_both
+
+        def apply_both(*args):
+            computed[0] += 1
+            return real_apply(*args)
+
+        monkeypatch.setattr(diagram, "_apply_both", apply_both)
+
+        def build(part):
+            computed[0] = 0
+            fields = _build_fields(_build(*part, 100, 10_000, "double", None))
+            return fields, computed[0]
+
+        self._clear()
+        in_sequence = [build(part) for part in parts]
+        fresh = []
+        for part in parts:
+            self._clear()
+            fresh.append(build(part))
+        self._clear()
+        assert [f for f, _ in in_sequence] == [f for f, _ in fresh]
+        assert in_sequence[0][1] == fresh[0][1]
+        for (_, warm), (_, cold) in zip(in_sequence[1:], fresh[1:]):
+            assert warm < cold / 2
+
+    def test_equal_structure_other_probabilities(self):
+        g, t = TestTransitionTables.STRIP
+        other = grid_graph(6, 40, seed=1)
+        diagram._structure.cache_clear()
+        kept = order_edges(g, t)
+        reused = order_edges(other, t)
+        diagram._structure.cache_clear()
+        fresh = order_edges(other, t)
+        diagram._structure.cache_clear()
+        assert reused.order is kept.order and reused.steps is kept.steps
+        assert reused == fresh
+        assert reused.edges == fresh.edges != kept.edges
+
+    def test_exact_fraction_after_a_double_build(self, monkeypatch, karate_graph):
+        # the exact build of karate's part reads the tables that a width-100
+        # double build of the same part wrote, and gets the same Fraction
+        from relnet.pipeline import exact_pipeline
+
+        t = TerminalSet.of([6, 7, 9, 18, 27])
+        computed = [0]
+        real_apply = diagram._apply_both
+
+        def apply_both(*args):
+            computed[0] += 1
+            return real_apply(*args)
+
+        monkeypatch.setattr(diagram, "_apply_both", apply_both)
+        self._clear()
+        first = exact_pipeline(karate_graph, t, precision="exact")
+        cold = computed[0]
+        self._clear()
+        estimate_pipeline(karate_graph, t, s=10_000, w=100)
+        computed[0] = 0
+        after = exact_pipeline(karate_graph, t, precision="exact")
+        warm = computed[0]
+        self._clear()
+        assert after == first
+        assert float(first) == 0.6340727820325954
+        assert warm < cold
 
 
 def _complete_bipartite_2(n, p0, p1):
@@ -1502,6 +1618,45 @@ class TestStopRule:
         assert res.exact
         assert res.estimate == exact
         assert res.estimate == pytest.approx(exact_reliability(g, t), rel=1e-12)
+
+    # exact_pipeline's R of grid_graph(6, 100, seed=0), terminals 0, 350, 599
+    RARE_R = 1.8344893633942876e-08
+
+    @pytest.fixture(scope="class")
+    def rare(self):
+        g = grid_graph(6, 100, seed=0)
+        trace = []
+        res = estimate_pipeline(
+            g, TerminalSet.of([0, 350, 599]), s=self.S, w=1000, seed=0, trace=trace
+        )
+        return res, trace
+
+    def test_rare_event_upper_bound_within_30x(self, rare):
+        # the build keeps expanding nodes that cannot earn a draw while they
+        # outweigh the mass already unsampled, so on a rare event the upper
+        # bound follows R down instead of stopping at about 1/s
+        res, _ = rare
+        assert res.p_c <= self.RARE_R <= 1 - res.p_d
+        assert (1 - res.p_d) / self.RARE_R <= 30
+
+    def test_resident_mass_above_unsampled_keeps_expanding(self, rare):
+        res, trace = rare
+        (part,) = res.parts
+        *rows, stop = trace
+        assert (stop["width"], stop["samples_drawn"]) == (0, 0) and part.samples_used == 0
+        unsampled = 0.0
+        light = []  # after a split, the layers whose nodes cannot earn a draw
+        for r in rows:
+            unsampled += r["deleted_mass"]
+            if unsampled > 0 and self.S * r["resident_mass"] < 1:
+                light.append((r["resident_mass"], unsampled))
+        # the first such layer outweighs the unsampled mass many times over,
+        # and the build goes on past it to the first layer that does not
+        assert len(light) > 100
+        assert light[0][0] > 100 * light[0][1]
+        assert light[-1][0] <= light[-1][1] < light[-2][0]
+        assert stop["deleted_mass"] == light[-1][0]
+        assert part.unsampled_mass == pytest.approx(light[-1][0] + light[-1][1], rel=1e-12)
 
     def test_no_budget_never_stops(self, strip):
         # s = 0 asks for bounds only: every layer is expanded
